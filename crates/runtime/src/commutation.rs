@@ -105,13 +105,30 @@ where
     A: Automaton + Clone + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
-    let mut ab = state.clone();
-    ab.step(first);
-    ab.step(second);
+    let mut after_first = state.clone();
+    after_first.step(first);
+    orders_commute_after(state, first, after_first, second)
+}
+
+/// [`orders_commute`] for a caller that has already stepped `first`:
+/// `after_first` is `state` with `first` stepped (typically a copy of the
+/// successor the explorer just generated), so the `first`-then-`second`
+/// order costs one more step instead of a clone and two steps.
+pub(crate) fn orders_commute_after<A>(
+    state: &Executor<A>,
+    first: ProcessId,
+    mut after_first: Executor<A>,
+    second: ProcessId,
+) -> bool
+where
+    A: Automaton + Clone + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
+    after_first.step(second);
     let mut ba = state.clone();
     ba.step(second);
     ba.step(first);
-    state_key(&ab) == state_key(&ba)
+    state_key(&after_first) == state_key(&ba)
 }
 
 /// Walks the deduplicated reachable configurations of `initial` and, in
@@ -244,6 +261,62 @@ mod tests {
         // Same values, though, collapse to one state either way.
         let same = Executor::new(vec![ToyWriter::new(0, 7), ToyWriter::new(0, 7)]);
         assert!(orders_commute(&same, ProcessId(0), ProcessId(1)));
+    }
+
+    #[test]
+    fn successor_reusing_oracle_agrees_with_orders_commute() {
+        // The explorers' dynamic tier starts the first order from the
+        // successor they already stepped. On every state of a bounded walk
+        // of the 3/1/2 anonymous cell it must answer exactly as the
+        // two-clone oracle does, for every ordered enabled pair — and so
+        // must the sleep sets built on it.
+        use crate::explore::{mask_of, successor_sleep, successor_sleep_from};
+        use sa_core::AnonymousSetAgreement;
+        use sa_model::Params;
+        let params = Params::new(3, 1, 2).expect("valid cell");
+        let initial = Executor::new(
+            (0..3)
+                .map(|p| AnonymousSetAgreement::one_shot(params, p as u64 + 1))
+                .collect(),
+        );
+        let mut seen = KeyTable::new();
+        seen.insert(state_key(&initial));
+        let mut stack = vec![initial];
+        let (mut states, mut pairs, mut commuting) = (0u64, 0u64, 0u64);
+        while let Some(state) = stack.pop() {
+            if states == 1_500 {
+                break;
+            }
+            states += 1;
+            let runnable = state.runnable();
+            for &p in &runnable {
+                let mut next = state.clone();
+                next.step(p);
+                for &q in runnable.iter().filter(|q| **q != p) {
+                    let expected = orders_commute(&state, p, q);
+                    assert_eq!(
+                        orders_commute_after(&state, p, next.clone(), q),
+                        expected,
+                        "pair {p}/{q}"
+                    );
+                    pairs += 1;
+                    commuting += u64::from(expected);
+                }
+                let others = mask_of(&runnable) & !mask_of(&[p]);
+                assert_eq!(
+                    successor_sleep_from(&state, p, &next, others),
+                    successor_sleep(&state, p, others)
+                );
+                if seen.insert(state_key(&next)) {
+                    stack.push(next);
+                }
+            }
+        }
+        assert_eq!(states, 1_500, "the walk must fill its bound");
+        assert!(
+            commuting > 0 && commuting < pairs,
+            "both verdicts must occur: {commuting} of {pairs} pairs commute"
+        );
     }
 
     #[test]

@@ -21,12 +21,14 @@
 //! counterpart, which shares the [`StateKey`] dedup guarantee, lives in
 //! [`parallel_explore`](crate::parallel_explore).
 
+use crate::commutation::{orders_commute, orders_commute_after};
 use crate::executor::Executor;
 use crate::store::{
     decode_frontier_record, encode_frontier_record, read_segment, FrontierRecord, KeyTable,
     SegmentKind, SegmentWriter, SpillDir,
 };
 use sa_model::{independent, Automaton, IdRelabeling, InstanceId, Op, ProcessId, SymmetryClass};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
@@ -380,41 +382,94 @@ impl StateKey {
     }
 }
 
+/// A hasher that yields a whole [`StateKey`]. The key functions are generic
+/// over it only so tests can pin [`SplitHasher`] against a reference that
+/// writes both streams directly.
+trait KeyHasher: Hasher {
+    fn new() -> Self;
+
+    /// Consumes the hasher into the full 128-bit key. Deliberately not
+    /// named `finish`: `Hasher::finish` yields only the unsalted half, and
+    /// shadowing it would invite exactly the 64-bit-key bug the wide key
+    /// exists to fix.
+    fn into_key(self) -> StateKey;
+}
+
+/// The unsalted and the salted `DefaultHasher` behind both halves of a
+/// [`StateKey`]. Any fixed non-trivial salt prefix decorrelates the two
+/// finishes; the SplitMix64 increment is as good as any.
+fn key_streams() -> (DefaultHasher, DefaultHasher) {
+    let mut salted = DefaultHasher::new();
+    salted.write_u64(0x9E37_79B9_7F4A_7C15);
+    (DefaultHasher::new(), salted)
+}
+
+/// Bytes [`SplitHasher`] gathers before feeding both streams: a state of
+/// the paper's cells writes a few hundred bytes in many 1–8 byte pieces.
+const SPLIT_BUFFER: usize = 256;
+
 /// Feeds one canonical-state stream into two differently salted
 /// `DefaultHasher`s, producing both halves of a [`StateKey`] in one
 /// traversal of the state.
+///
+/// Writes are gathered in a stack buffer and handed to both SipHash
+/// streams in bulk: most writes are single integers, and SipHash pays a
+/// tail-merge per write call. SipHash is a byte-stream hash — its result
+/// depends on the bytes written, not on how they were chunked — so every
+/// key is bit-identical to feeding each write to both streams directly.
 struct SplitHasher {
-    plain: std::collections::hash_map::DefaultHasher,
-    salted: std::collections::hash_map::DefaultHasher,
+    plain: DefaultHasher,
+    salted: DefaultHasher,
+    buf: [u8; SPLIT_BUFFER],
+    len: usize,
 }
 
 impl SplitHasher {
+    /// Hands the buffered bytes to both streams.
+    fn flush(&mut self) {
+        let bytes = &self.buf[..self.len];
+        self.plain.write(bytes);
+        self.salted.write(bytes);
+        self.len = 0;
+    }
+}
+
+impl KeyHasher for SplitHasher {
     fn new() -> Self {
-        let plain = std::collections::hash_map::DefaultHasher::new();
-        let mut salted = std::collections::hash_map::DefaultHasher::new();
-        // Any fixed non-trivial prefix decorrelates the two finishes; the
-        // SplitMix64 increment is as good as any.
-        salted.write_u64(0x9E37_79B9_7F4A_7C15);
-        SplitHasher { plain, salted }
+        let (plain, salted) = key_streams();
+        SplitHasher {
+            plain,
+            salted,
+            buf: [0; SPLIT_BUFFER],
+            len: 0,
+        }
     }
 
-    /// Consumes the hasher into the full 128-bit key. Deliberately not
-    /// named `finish`: the `Hasher::finish` impl below yields only the
-    /// unsalted half, and shadowing it would invite exactly the 64-bit-key
-    /// bug this type exists to fix.
-    fn into_key(self) -> StateKey {
+    fn into_key(mut self) -> StateKey {
+        self.flush();
         StateKey([self.plain.finish(), self.salted.finish()])
     }
 }
 
 impl Hasher for SplitHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        self.plain.write(bytes);
-        self.salted.write(bytes);
+        if self.len + bytes.len() > SPLIT_BUFFER {
+            self.flush();
+            if bytes.len() >= SPLIT_BUFFER {
+                self.plain.write(bytes);
+                self.salted.write(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
     }
 
     fn finish(&self) -> u64 {
-        self.plain.finish()
+        let mut plain = self.plain.clone();
+        plain.write(&self.buf[..self.len]);
+        plain.finish()
     }
 }
 
@@ -426,7 +481,16 @@ where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
-    let mut hasher = SplitHasher::new();
+    state_key_with::<SplitHasher, A>(executor)
+}
+
+fn state_key_with<H, A>(executor: &Executor<A>) -> StateKey
+where
+    H: KeyHasher,
+    A: Automaton + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
+    let mut hasher = H::new();
     for p in 0..executor.process_count() {
         executor.automaton(ProcessId(p)).hash(&mut hasher);
     }
@@ -583,7 +647,7 @@ impl SymmetryPlan {
         if !self.applied {
             return IdRelabeling::identity(self.n);
         }
-        let (order, _) = self.canonical_order(executor);
+        let (order, _) = self.canonical_order::<SplitHasher, A>(executor);
         relabel_for_order(&order)
     }
 
@@ -594,8 +658,9 @@ impl SymmetryPlan {
     /// of their behavioral state and per-slot decisions; ties keep original
     /// slot order, so the result is a deterministic function of the
     /// configuration alone (never of thread count or discovery order).
-    fn canonical_order<A>(&self, executor: &Executor<A>) -> (Vec<usize>, u64)
+    fn canonical_order<H, A>(&self, executor: &Executor<A>) -> (Vec<usize>, u64)
     where
+        H: KeyHasher,
         A: Automaton + Hash,
         A::Value: Hash + Clone + Eq + Debug,
     {
@@ -603,7 +668,7 @@ impl SymmetryPlan {
         let instances: Vec<InstanceId> = executor.decisions().instances().collect();
         let signatures: Vec<[u64; 2]> = (0..n)
             .map(|p| {
-                let mut hasher = SplitHasher::new();
+                let mut hasher = H::new();
                 executor
                     .automaton(ProcessId(p))
                     .hash_behavior(&self.erase, &mut hasher);
@@ -715,16 +780,25 @@ where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
+    canonical_state_key_with::<SplitHasher, A>(executor, plan)
+}
+
+fn canonical_state_key_with<H, A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
+where
+    H: KeyHasher,
+    A: Automaton + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
     if !plan.applied {
         // A fallback plan (Opaque automata, or `SymmetryMode::Off`) defines
         // no orbits: the canonical key degrades to the plain key with a
         // singleton orbit, so callers can use the two interchangeably.
-        return (state_key(executor), 1);
+        return (state_key_with::<H, A>(executor), 1);
     }
-    let (order, orbit_lower) = plan.canonical_order(executor);
+    let (order, orbit_lower) = plan.canonical_order::<H, A>(executor);
     let relabel = relabel_for_order(&order);
     (
-        canonical_key_for_order(executor, &order, &relabel),
+        canonical_key_for_order::<H, A>(executor, &order, &relabel),
         orbit_lower,
     )
 }
@@ -742,16 +816,17 @@ fn relabel_for_order(order: &[usize]) -> IdRelabeling {
 /// Hashes the orbit representative selected by `order`/`relabel` into its
 /// [`StateKey`] — the shared tail of [`canonical_state_key`] and
 /// [`keyed_relabeled`].
-fn canonical_key_for_order<A>(
+fn canonical_key_for_order<H, A>(
     executor: &Executor<A>,
     order: &[usize],
     relabel: &IdRelabeling,
 ) -> StateKey
 where
+    H: KeyHasher,
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
-    let mut hasher = SplitHasher::new();
+    let mut hasher = H::new();
     for &old_slot in order {
         executor
             .automaton(ProcessId(old_slot))
@@ -809,9 +884,9 @@ where
     A::Value: Hash + Clone + Eq + Debug,
 {
     if plan.applied && !plan.is_trivial() {
-        let (order, orbit_lower) = plan.canonical_order(executor);
+        let (order, orbit_lower) = plan.canonical_order::<SplitHasher, A>(executor);
         let relabel = relabel_for_order(&order);
-        let key = canonical_key_for_order(executor, &order, &relabel);
+        let key = canonical_key_for_order::<SplitHasher, A>(executor, &order, &relabel);
         (key, orbit_lower, relabel)
     } else {
         (
@@ -928,11 +1003,50 @@ pub fn unrelabel_mask(mask: u64, relabel: &IdRelabeling) -> u64 {
 /// the very expansion that would prune unsoundly panics instead (see
 /// [`check_commutation`](crate::check_commutation) for the standalone
 /// campaign-level sweep). Tier 3 needs no audit — it is the oracle.
+///
+/// An explorer that has already stepped `process` calls
+/// [`successor_sleep_from`] instead, which starts tier 3 from that
+/// successor.
 pub fn successor_sleep<A>(state: &Executor<A>, process: ProcessId, sleep: u64) -> u64
 where
     A: Automaton + Clone + Hash,
     A::Value: Hash + Clone + Eq + Debug,
 {
+    sleep_after(state, process, None, sleep)
+}
+
+/// [`successor_sleep`] for a caller holding `successor`, the configuration
+/// reached by stepping `process` from `state`: the dynamic tier executes
+/// the `process`-first order as one step from a copy of `successor`
+/// rather than two steps from a copy of `state`. Same result, bit for bit.
+pub fn successor_sleep_from<A>(
+    state: &Executor<A>,
+    process: ProcessId,
+    successor: &Executor<A>,
+    sleep: u64,
+) -> u64
+where
+    A: Automaton + Clone + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
+    sleep_after(state, process, Some(successor), sleep)
+}
+
+/// The body of [`successor_sleep`] and [`successor_sleep_from`].
+fn sleep_after<A>(
+    state: &Executor<A>,
+    process: ProcessId,
+    successor: Option<&Executor<A>>,
+    sleep: u64,
+) -> u64
+where
+    A: Automaton + Clone + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+{
+    let commutes = |q: ProcessId| match successor {
+        Some(next) => orders_commute_after(state, process, next.clone(), q),
+        None => orders_commute(state, process, q),
+    };
     if sleep == 0 {
         return 0;
     }
@@ -951,9 +1065,13 @@ where
         };
         if independent(&op, &other) || state.memory().invisibly_independent(&op, &other) {
             kept |= 1u64 << q.index();
-            #[cfg(debug_assertions)]
-            debug_assert_commutes(state, process, q);
-        } else if crate::commutation::orders_commute(state, process, q) {
+            // Debug oracle: the pair the interference analysis called
+            // independent must reach one successor state key either way.
+            debug_assert!(
+                commutes(q),
+                "independent pair {process}/{q} does not commute — the interference analysis is unsound here"
+            );
+        } else if commutes(q) {
             kept |= 1u64 << q.index();
         }
     }
@@ -1057,21 +1175,6 @@ where
     })
 }
 
-/// Debug oracle behind [`successor_sleep`]: executes both orders of a pair
-/// the interference analysis called independent and asserts identical
-/// successor state keys.
-#[cfg(debug_assertions)]
-fn debug_assert_commutes<A>(state: &Executor<A>, a: ProcessId, b: ProcessId)
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
-    debug_assert!(
-        crate::commutation::orders_commute(state, a, b),
-        "independent pair {a}/{b} does not commute — the interference analysis is unsound here"
-    );
-}
-
 /// The deterministic deep-byte charge of one frontier entry: the executor's
 /// [`deep size`](Executor::approx_deep_bytes) (struct shells **plus** heap
 /// payloads — register contents, histories, decision maps) plus the schedule
@@ -1083,6 +1186,12 @@ where
 /// ~3.8 GB. Length-based deep accounting keeps the figure a pure function
 /// of the search (never of capacities or discovery order), so it stays
 /// byte-identical across worker counts and spill modes.
+///
+/// Persistent-set (DPOR) path frames no longer hold a schedule — the path
+/// stack spells it — but they are still charged `schedule_len` (their
+/// depth) on purpose: the charge is a stable accounting unit, and keeping
+/// the term leaves `approx_bytes`, the resident-cap spill points and every
+/// JSONL byte exactly as they were when each frame owned its schedule.
 pub(crate) fn entry_bytes<A: Automaton>(state: &Executor<A>, schedule_len: usize) -> u64 {
     state.approx_deep_bytes()
         + (std::mem::size_of::<Vec<ProcessId>>()
@@ -1389,7 +1498,7 @@ where
             // *current* sleep set — which grows by each transition expanded
             // from this state, so later siblings sleep on earlier ones.
             let child_sleep = if reduce {
-                successor_sleep(&state, process, sleep_cur)
+                successor_sleep_from(&state, process, &next, sleep_cur)
             } else {
                 0
             };
@@ -1518,20 +1627,21 @@ where
 
 /// One frame of the persistent-set DFS path stack. Unlike [`DfsEntry`]
 /// (siblings coexist on the stack), the stack here *is* the current
-/// schedule: frame `i` holds the state reached by the first `i` steps, and
-/// expands one transition at a time from its backtrack set, so
+/// schedule: frame `i` holds the state reached by the first `i` steps —
+/// the `taken` processes of `frames[..i]`, so no frame stores a schedule —
+/// and expands one transition at a time from its backtrack set, so
 /// Flanagan–Godefroid race detection can add processes to an ancestor's
 /// `backtrack` **after** the ancestor was first expanded.
 struct DporFrame<A: Automaton> {
     /// `None` while the frame is frozen in a spill segment; rebuilt by
-    /// replay on thaw. The masks below stay resident so race additions can
-    /// target frozen frames without touching disk.
+    /// replay of the path prefix on thaw. The fields below stay resident so
+    /// race additions can target frozen frames without touching disk.
     state: Option<Executor<A>>,
-    schedule: Vec<ProcessId>,
     /// The operation most recently executed *from* this frame along the
     /// current path — the anchor races are detected against.
     taken_op: Option<Op<A::Value>>,
-    /// The process that executed `taken_op`.
+    /// The process that executed `taken_op`: the next step of the current
+    /// path, valid whenever a frame sits above this one.
     taken: ProcessId,
     bytes: u64,
     /// Enabled processes at this frame, in its own labeling.
@@ -1629,11 +1739,11 @@ where
     let mut spill_seq: u64 = 0;
     let mut frozen_below: usize = 0;
 
-    // Creates (and accounts) a frame for `state` reached by `schedule`,
+    // Creates (and accounts) a frame for `state` at path depth `depth`,
     // arriving with `sleep`; `owed` is `Some(mask)` for revisit frames.
     // Returns the frame; the caller pushes it.
     let make_frame = |state: Executor<A>,
-                      schedule: Vec<ProcessId>,
+                      depth: usize,
                       sleep: u64,
                       owed: Option<u64>,
                       key: StateKey,
@@ -1648,12 +1758,12 @@ where
         if fresh {
             result.states_visited += 1;
             result.full_states_lower_bound = result.full_states_lower_bound.saturating_add(orbit);
-            result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
+            result.max_depth_reached = result.max_depth_reached.max(depth as u64);
             result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
         }
         let backtrack = match owed {
             Some(owed) => owed,
-            None if schedule.len() as u64 >= config.max_depth => 0,
+            None if depth as u64 >= config.max_depth => 0,
             None => {
                 // Seed from the lowest non-sleeping enabled process; the
                 // closure still ranges over everything enabled, but sleeping
@@ -1673,10 +1783,9 @@ where
             // never promised (mirroring the sleep-set explorer's stored Z).
             map.insert(key, relabel_mask(runnable_mask & !backtrack, &relabel));
         }
-        let bytes = entry_bytes(&state, schedule.len());
+        let bytes = entry_bytes(&state, depth);
         DporFrame {
             state: Some(state),
-            schedule,
             taken_op: None,
             taken: ProcessId(0),
             bytes,
@@ -1693,7 +1802,7 @@ where
     let (root_key, root_orbit, root_relabel) = keyed_relabeled(initial, &plan);
     let root = make_frame(
         initial.clone(),
-        Vec::new(),
+        0,
         0,
         None,
         root_key,
@@ -1720,26 +1829,49 @@ where
         if frames[top].state.is_none() {
             // The DFS popped back down into a frozen range: thaw the most
             // recently sealed segment (it covers exactly the frames up to
-            // and including the current top) and rebuild states by replay.
+            // and including the current top). The resident path is
+            // authoritative: each state is rebuilt by replaying the path
+            // prefix, one step past the frame below, and a record whose
+            // schedule disagrees with that prefix stops the search rather
+            // than resume from a state the path does not reach.
             let (path, start, count) = segments.pop().expect("frozen frame implies a segment");
             debug_assert_eq!(start + count, frames.len());
             let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
                 .expect("reading back a spilled DPOR segment");
             let _ = std::fs::remove_file(&path);
-            debug_assert_eq!(records.len(), count);
+            assert_eq!(
+                records.len(),
+                count,
+                "spilled DPOR segment {} holds the wrong number of frames",
+                path.display()
+            );
+            let mut prefix = path_schedule(&frames[..start]);
+            let mut state = replay(initial, &prefix);
             for (offset, record) in records.iter().enumerate() {
+                let depth = start + offset;
+                if offset > 0 {
+                    let taken = frames[depth - 1].taken;
+                    state.step(taken);
+                    prefix.push(taken);
+                }
                 let frozen = decode_frontier_record(record, initial.process_count())
                     .expect("decoding a spilled DPOR record");
-                let frame = &mut frames[start + offset];
+                assert!(
+                    frozen.schedule == prefix,
+                    "spilled DPOR segment {} records schedule {:?} for the frame at depth \
+                     {depth}, but the resident path reaches it by {:?}",
+                    path.display(),
+                    frozen.schedule,
+                    prefix
+                );
+                let frame = &mut frames[depth];
                 // Resident masks are authoritative — they may have grown by
                 // race additions since the freeze — so merge by union.
                 frame.backtrack |= frozen.backtrack;
                 frame.done |= frozen.done;
-                let state = replay(initial, &frozen.schedule);
                 resident += frame.bytes;
                 spilled_logical = spilled_logical.saturating_sub(frame.bytes);
-                frame.schedule = frozen.schedule;
-                frame.state = Some(state);
+                frame.state = Some(state.clone());
             }
             frozen_below = segments.last().map_or(0, |(_, s, c)| s + c);
             continue;
@@ -1749,7 +1881,8 @@ where
             let frame = frames.pop().expect("top frame exists");
             resident -= frame.bytes;
             if frame.fresh {
-                let at_bound = frame.schedule.len() as u64 >= config.max_depth;
+                // The popped frame sat at depth `frames.len()`.
+                let at_bound = frames.len() as u64 >= config.max_depth;
                 if frame.runnable_mask == 0 || at_bound {
                     result.paths += 1;
                     if frame.runnable_mask != 0 {
@@ -1776,16 +1909,15 @@ where
         let taken_op = state.poised(process);
         let mut next = state.clone();
         next.step(process);
-        let mut next_schedule = frames[top].schedule.clone();
-        next_schedule.push(process);
         frames[top].taken_op = taken_op;
         frames[top].taken = process;
         result.expansions += 1;
         result.persistent_expanded += 1;
         if let Some(description) = predicate(&next) {
-            result.max_depth_reached = result.max_depth_reached.max(next_schedule.len() as u64);
+            // `next` sits one step above the top frame: the whole path.
+            result.max_depth_reached = result.max_depth_reached.max(frames.len() as u64);
             result.violation = Some(ExploredViolation {
-                schedule: next_schedule,
+                schedule: path_schedule(&frames),
                 description,
             });
             result.seen_entries = map.len() as u64;
@@ -1841,7 +1973,7 @@ where
         // sleep-set explorer.
         let sibling_base = frames[top].sleep | (frames[top].done & !bit);
         let state = frames[top].state.as_ref().expect("top frame is thawed");
-        let child_sleep = successor_sleep(state, process, sibling_base);
+        let child_sleep = successor_sleep_from(state, process, &next, sibling_base);
         let canon_sleep = relabel_mask(child_sleep, &relabel);
         let push = match map.entry(key) {
             std::collections::hash_map::Entry::Vacant(_) => {
@@ -1870,7 +2002,7 @@ where
         if let Some(owed) = push {
             let frame = make_frame(
                 next,
-                next_schedule,
+                top + 1,
                 child_sleep,
                 owed,
                 key,
@@ -1886,8 +2018,9 @@ where
         logical_peak = logical_peak.max(resident + spilled_logical);
         // Over the resident cap with spill on: freeze the coldest half of
         // the still-resident frames (never the top — it is about to be
-        // expanded). Masks stay resident so race additions keep working;
-        // only the executor and schedule bytes leave memory.
+        // expanded). Masks and taken steps stay resident, so race
+        // additions keep working and the path still spells every frozen
+        // frame's schedule; only the executor bytes leave memory.
         if config.spill && cap > 0 && resident > cap {
             let live = frames.len() - frozen_below;
             if live >= 2 {
@@ -1905,19 +2038,27 @@ where
                 spill_seq += 1;
                 let start = frozen_below;
                 let count = live / 2;
+                // One record buffer walks up the path: its schedule is the
+                // prefix reaching each frame in turn.
+                let mut record = FrontierRecord {
+                    schedule: path_schedule(&frames[..start]),
+                    orbit_lower: 0,
+                    sleep: 0,
+                    expand: None,
+                    backtrack: 0,
+                    done: 0,
+                };
                 for frame in &mut frames[start..start + count] {
+                    record.sleep = frame.sleep;
+                    // The flagged mask doubles as the fresh/revisit marker
+                    // across the spill boundary.
+                    record.expand = (!frame.fresh).then_some(0);
+                    record.backtrack = frame.backtrack;
+                    record.done = frame.done;
                     writer
-                        .append(&encode_frontier_record(&FrontierRecord {
-                            schedule: std::mem::take(&mut frame.schedule),
-                            orbit_lower: 0,
-                            sleep: frame.sleep,
-                            // The flagged mask doubles as the fresh/revisit
-                            // marker across the spill boundary.
-                            expand: (!frame.fresh).then_some(0),
-                            backtrack: frame.backtrack,
-                            done: frame.done,
-                        }))
+                        .append(&encode_frontier_record(&record))
                         .expect("writing a DPOR spill record");
+                    record.schedule.push(frame.taken);
                     frame.state = None;
                     resident -= frame.bytes;
                     spilled_logical += frame.bytes;
@@ -1937,6 +2078,12 @@ where
         + KeyTable::bytes_for_len(map.len() as u64)
         + map.len() as u64 * std::mem::size_of::<u64>() as u64;
     result
+}
+
+/// The schedule reaching the frame above `frames`: the processes each frame
+/// of a DPOR path stack took.
+fn path_schedule<A: Automaton>(frames: &[DporFrame<A>]) -> Vec<ProcessId> {
+    frames.iter().map(|frame| frame.taken).collect()
 }
 
 /// The deterministic byte charge of the seen-set (0 with dedup off — no
@@ -1980,6 +2127,76 @@ where
 mod tests {
     use super::*;
     use crate::toy::{RacyConsensus, ToyWriter};
+    use sa_core::AnonymousSetAgreement;
+    use sa_model::Params;
+
+    /// The reference [`SplitHasher`] is pinned against: every write goes to
+    /// both streams as it arrives, with no buffering.
+    struct DirectSplitHasher {
+        plain: DefaultHasher,
+        salted: DefaultHasher,
+    }
+
+    impl KeyHasher for DirectSplitHasher {
+        fn new() -> Self {
+            let (plain, salted) = key_streams();
+            DirectSplitHasher { plain, salted }
+        }
+
+        fn into_key(self) -> StateKey {
+            StateKey([self.plain.finish(), self.salted.finish()])
+        }
+    }
+
+    impl Hasher for DirectSplitHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            self.plain.write(bytes);
+            self.salted.write(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            self.plain.finish()
+        }
+    }
+
+    /// The one-shot anonymous algorithm on an `n`/`m`/`k` cell with
+    /// distinct inputs.
+    fn anon_cell(n: usize, m: usize, k: usize) -> Executor<AnonymousSetAgreement> {
+        let params = Params::new(n, m, k).expect("valid cell");
+        Executor::new(
+            (0..n)
+                .map(|p| AnonymousSetAgreement::one_shot(params, p as u64 + 1))
+                .collect(),
+        )
+    }
+
+    /// States met by seeded random walks of `initial`, every other step.
+    fn random_walk_states<A>(initial: &Executor<A>, seed: u64, walks: usize) -> Vec<Executor<A>>
+    where
+        A: Automaton + Clone,
+        A::Value: Clone + Eq + Debug,
+    {
+        let mut x = seed | 1;
+        let mut states = Vec::new();
+        for _ in 0..walks {
+            let mut state = initial.clone();
+            for step in 0..400 {
+                let runnable = state.runnable();
+                if runnable.is_empty() {
+                    break;
+                }
+                if step % 2 == 0 {
+                    states.push(state.clone());
+                }
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                state.step(runnable[(x % runnable.len() as u64) as usize]);
+            }
+            states.push(state);
+        }
+        states
+    }
 
     #[test]
     fn explorer_verifies_trivially_safe_system() {
@@ -2119,6 +2336,83 @@ mod tests {
         assert_eq!(stepped, state_key(&exec));
         // Shards are a prefix of the first half and stay in range.
         assert!(root.shard(64) < 64);
+    }
+
+    #[test]
+    fn buffered_split_hasher_matches_direct_writes() {
+        // Each case writes one byte stream in a different chunking; the
+        // buffered hasher must agree with the direct reference at every
+        // point, unsalted half included.
+        let long: Vec<u8> = (0..3 * SPLIT_BUFFER + 7).map(|i| (i * 31) as u8).collect();
+        let cases: Vec<Vec<&[u8]>> = vec![
+            vec![],
+            vec![&[], &[], &[]],
+            // Writes that fill the buffer exactly, then straddle its edge.
+            vec![&long[..SPLIT_BUFFER], &long[..1], &[]],
+            vec![
+                &long[..SPLIT_BUFFER - 3],
+                &long[..8],
+                &long[..SPLIT_BUFFER - 1],
+            ],
+            vec![&long[..1]; 3 * SPLIT_BUFFER + 1],
+            // One write longer than the buffer, before and after buffered
+            // bytes.
+            vec![&long],
+            vec![
+                &long[..5],
+                &long,
+                &[],
+                &long[..SPLIT_BUFFER + 1],
+                &long[..2],
+            ],
+        ];
+        for chunks in &cases {
+            let mut buffered = SplitHasher::new();
+            let mut direct = DirectSplitHasher::new();
+            for chunk in chunks {
+                buffered.write(chunk);
+                direct.write(chunk);
+                assert_eq!(buffered.finish(), direct.finish());
+            }
+            assert_eq!(buffered.into_key(), direct.into_key());
+        }
+        // `str` hashing goes through `Hasher::write_str`, integers through
+        // the fixed-width writers.
+        let mut buffered = SplitHasher::new();
+        let mut direct = DirectSplitHasher::new();
+        for (i, text) in ["", "a", "straddling", &"x".repeat(SPLIT_BUFFER + 9)]
+            .iter()
+            .enumerate()
+        {
+            text.hash(&mut buffered);
+            text.hash(&mut direct);
+            (i as u64).hash(&mut buffered);
+            (i as u64).hash(&mut direct);
+            (i as u8).hash(&mut buffered);
+            (i as u8).hash(&mut direct);
+        }
+        assert_eq!(buffered.into_key(), direct.into_key());
+    }
+
+    #[test]
+    fn buffered_state_keys_match_direct_writes() {
+        // Plain and canonical keys of states of the 4/1/3 anonymous cell
+        // are bit-identical to those of the direct-writing reference.
+        let initial = anon_cell(4, 1, 3);
+        let plan = SymmetryPlan::for_executor(&initial, SymmetryMode::ProcessIds);
+        assert!(plan.applied() && !plan.is_trivial());
+        let states = random_walk_states(&initial, 0x5eed, 32);
+        assert!(states.len() > 200, "{} states", states.len());
+        for state in &states {
+            assert_eq!(
+                state_key(state),
+                state_key_with::<DirectSplitHasher, _>(state)
+            );
+            assert_eq!(
+                canonical_state_key(state, &plan),
+                canonical_state_key_with::<DirectSplitHasher, _>(state, &plan)
+            );
+        }
     }
 
     #[test]
@@ -2796,6 +3090,48 @@ mod tests {
         assert_eq!(requested.expansions, plain.expansions);
         assert_eq!(requested.states_cut, 0);
         assert_eq!(requested.persistent_expanded, 0);
+    }
+
+    #[test]
+    fn persistent_set_spill_finds_the_same_violation() {
+        // Under a 1-byte resident cap the DPOR path stack freezes frames
+        // after nearly every expansion, so the witness is spelled across
+        // frozen frames; it must equal the in-core one and replay to a
+        // genuine violation.
+        let exec = Executor::new(vec![
+            RacyConsensus::new(ProcessId(0), 10),
+            RacyConsensus::new(ProcessId(1), 20),
+            RacyConsensus::new(ProcessId(2), 30),
+        ]);
+        let config = ExploreConfig {
+            reduction: ReductionMode::PersistentSets,
+            ..ExploreConfig::default()
+        };
+        let base = explore(&exec, config, agreement_predicate(1));
+        let spilled = explore(
+            &exec,
+            ExploreConfig {
+                spill: true,
+                max_resident_bytes: 1,
+                ..config
+            },
+            agreement_predicate(1),
+        );
+        assert_eq!(base.spilled_entries, 0);
+        assert!(
+            spilled.spilled_entries > 0,
+            "the tiny cap must force spills"
+        );
+        let witness = base.violation.expect("the race must be found in core");
+        assert_eq!(
+            spilled.violation.as_ref(),
+            Some(&witness),
+            "witness must not change"
+        );
+        assert_eq!(spilled.states_visited, base.states_visited);
+        assert_eq!(spilled.expansions, base.expansions);
+        assert_eq!(spilled.max_depth_reached, base.max_depth_reached);
+        assert!(agreement_predicate(1)(&replay(&exec, &witness.schedule)).is_some());
     }
 
     #[test]

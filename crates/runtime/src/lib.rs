@@ -67,8 +67,8 @@ pub use executor::{
 pub use explore::{
     agreement_predicate, canonical_state_key, checked_bit_of, checked_mask_of, explore,
     keyed_relabeled, mask_of, persistent_set, persistent_set_applies, relabel_mask, state_key,
-    successor_sleep, unrelabel_mask, Exploration, ExploreConfig, ExploredViolation,
-    FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    successor_sleep, successor_sleep_from, unrelabel_mask, Exploration, ExploreConfig,
+    ExploredViolation, FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
 };
 pub use parallel::{parallel_explore, ParallelExploreConfig};
 pub use properties::{

@@ -62,7 +62,7 @@
 use crate::executor::Executor;
 use crate::explore::{
     entry_bytes, keyed, keyed_relabeled, mask_of, persistent_set, persistent_set_applies,
-    relabel_mask, replay, successor_sleep, unrelabel_mask, Exploration, ExploredViolation,
+    relabel_mask, replay, successor_sleep_from, unrelabel_mask, Exploration, ExploredViolation,
     FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
 };
 use crate::store::{
@@ -724,7 +724,7 @@ where
                             // skipped below: a skip means the successor's
                             // coverage is promised by a stored mask.
                             let child_sleep = if reduce {
-                                successor_sleep(&state, process, sleep_cur)
+                                successor_sleep_from(&state, process, &successor, sleep_cur)
                             } else {
                                 0
                             };

@@ -27,7 +27,7 @@ use crate::witness::{verify, Certificate, Witness};
 use sa_model::{Automaton, IdRelabeling, ProcessId};
 use sa_runtime::{
     canonical_state_key, keyed_relabeled, mask_of, persistent_set, persistent_set_applies,
-    relabel_mask, state_key, successor_sleep, unrelabel_mask, Executor, ReductionMode,
+    relabel_mask, state_key, successor_sleep_from, unrelabel_mask, Executor, ReductionMode,
     SearchConfig, SearchGoal, StateKey, SymmetryPlan,
 };
 use std::collections::{HashMap, HashSet};
@@ -289,7 +289,8 @@ where
                     let mut successor = entry.state.clone();
                     successor.step(process);
                     let (key, sleep_canon, relabel) = if reduce {
-                        let child_sleep = successor_sleep(&entry.state, process, sleep_cur);
+                        let child_sleep =
+                            successor_sleep_from(&entry.state, process, &successor, sleep_cur);
                         let (key, _weight, relabel) = keyed_relabeled(&successor, &plan);
                         (key, relabel_mask(child_sleep, &relabel), relabel)
                     } else {
