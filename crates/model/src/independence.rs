@@ -106,8 +106,7 @@ impl Footprint {
     }
 
     /// The single cell this footprint writes, if the write is cell-granular:
-    /// the location a write-like op is poised to modify. The successor of
-    /// [`Op::write_target`], in [`Location`] vocabulary.
+    /// the location a write-like op is poised to modify.
     pub fn write_cell(&self) -> Option<Location> {
         match self.write {
             Some(Access::Cell(cell)) => Some(cell),

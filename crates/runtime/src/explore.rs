@@ -17,7 +17,8 @@
 //! enumeration without risking an unsound prune (see
 //! [`Exploration::verified`]).
 //!
-//! This module is the serial depth-first explorer; its work-stealing
+//! This module is the serial explorer — one path-stack depth-first search
+//! for every [`ExploreConfig`] (see [`explore`]); its work-stealing
 //! counterpart, which shares the [`StateKey`] dedup guarantee, lives in
 //! [`parallel_explore`](crate::parallel_explore).
 
@@ -28,10 +29,11 @@ use crate::store::{
     SegmentKind, SegmentWriter, SpillDir,
 };
 use sa_model::{independent, Automaton, IdRelabeling, InstanceId, Op, ProcessId, SymmetryClass};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 /// Whether an explorer deduplicates reachable configurations up to
@@ -93,9 +95,10 @@ pub enum ReductionMode {
     /// from a state, sibling orders that commute with it are skipped.
     ///
     /// This is **requested**, not guaranteed: the masks are a dedup-map
-    /// payload, so searches with dedup disabled (or more than 64 processes,
-    /// the mask width) fall back to [`Off`] rather than prune unsoundly —
-    /// [`Exploration::reduction_applied`] records what actually happened.
+    /// payload, so searches with dedup disabled fall back to [`Off`] rather
+    /// than prune unsoundly — [`Exploration::reduction_applied`] records
+    /// what actually happened. (Systems of more than [`MAX_PROCESSES`]
+    /// processes, the mask width, are rejected by every explorer outright.)
     SleepSets,
     /// Persistent-set selective search: each state expands only a
     /// provably sufficient subset of its enabled processes — a seed closed
@@ -105,17 +108,18 @@ pub enum ReductionMode {
     /// commuting pairs within the persistent subset.
     ///
     /// The serial explorer pairs the selection with Flanagan–Godefroid
-    /// dynamic backtracking: on discovering (while expanding a transition)
-    /// a static dependency with an earlier transition of the DFS path, the
-    /// stepping process is added to that ancestor's backtrack set, which
-    /// re-establishes the persistent-set condition the cheap seed may have
-    /// missed. The breadth-first explorer and the adversary search, which
-    /// keep no path to backtrack over, apply the cut only at states where
-    /// it is locally provable (every non-member halts after its poised
-    /// op — see [`persistent_set_applies`]).
+    /// dynamic backtracking over its path stack: on discovering (while
+    /// expanding a transition) a static dependency with an earlier
+    /// transition of the DFS path, the stepping process is added to that
+    /// ancestor's backtrack set, which re-establishes the persistent-set
+    /// condition the cheap seed may have missed. The breadth-first explorer
+    /// and the adversary search, which keep no path to backtrack over,
+    /// apply the cut only at states where it is locally provable (every
+    /// non-member halts after its poised op — see
+    /// [`persistent_set_applies`]).
     ///
-    /// Same fallback contract as [`SleepSets`]: dedup off or more than 64
-    /// processes falls back to [`Off`].
+    /// Same fallback contract as [`SleepSets`]: dedup off falls back to
+    /// [`Off`].
     PersistentSets,
 }
 
@@ -158,21 +162,22 @@ pub struct ExploreConfig {
     /// in — see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
     /// Whether to prune commuting interleavings with sleep sets (requires
-    /// `dedup` and at most 64 processes; falls back to
-    /// [`ReductionMode::Off`] otherwise — see [`ReductionMode::SleepSets`]).
+    /// `dedup`; falls back to [`ReductionMode::Off`] otherwise — see
+    /// [`ReductionMode::SleepSets`]).
     pub reduction: ReductionMode,
-    /// Whether the explorer may spill frozen frontier chunks to disk when
-    /// the resident frontier exceeds [`max_resident_bytes`](Self::max_resident_bytes).
-    /// Spilled entries store only their schedule and orbit weight (the
-    /// executor state is reconstructed by deterministic replay), so the
+    /// Whether the explorer may freeze path-stack frames to disk when the
+    /// resident frames exceed [`max_resident_bytes`](Self::max_resident_bytes).
+    /// A frozen frame stores only its schedule on disk (the executor state
+    /// is reconstructed by deterministic replay), so the
     /// search verdict and every statistic except
     /// [`Exploration::spilled_entries`] are identical with spill on or off.
     pub spill: bool,
     /// A budget, in estimated deep bytes ([`Executor::approx_deep_bytes`]),
-    /// on the resident frontier. `0` means unlimited. When the budget is
-    /// exceeded: with [`spill`](Self::spill) the explorer moves the coldest
-    /// half of the frontier to disk and continues; without it the search
-    /// deterministically truncates, preserving the pending count in
+    /// on the resident path-stack frames. `0` means unlimited. When the
+    /// budget is exceeded: with [`spill`](Self::spill) the explorer freezes
+    /// the coldest half of the resident frames to disk and continues;
+    /// without it the search deterministically truncates before its next
+    /// new state, preserving the pending count in
     /// [`Exploration::pending_at_exit`].
     pub max_resident_bytes: u64,
 }
@@ -214,13 +219,13 @@ pub struct ExploredViolation {
 }
 
 /// What [`Exploration::frontier_peak`] measures — the two explorers keep
-/// fundamentally different frontiers, and the shared field name used to
-/// silently conflate them (a DFS stack depth is *not* comparable to a BFS
-/// level width when sizing a run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// fundamentally different frontiers: a DFS path depth is *not* comparable
+/// to a BFS level width when sizing a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FrontierSemantics {
-    /// The serial [`explore`](crate::explore): the deepest pending DFS
-    /// stack, counting in-memory and spilled entries alike.
+    /// The serial [`explore`](crate::explore): the deepest DFS path stack,
+    /// counting resident and frozen frames alike.
+    #[default]
     DfsStackDepth,
     /// [`parallel_explore`](crate::parallel_explore): the widest
     /// breadth-first level awaiting expansion.
@@ -237,8 +242,9 @@ impl FrontierSemantics {
     }
 }
 
-/// The result of a bounded exploration.
-#[derive(Debug, Clone)]
+/// The result of a bounded exploration. The default is the empty report of
+/// a search that has not started.
+#[derive(Debug, Clone, Default)]
 pub struct Exploration {
     /// Number of states visited.
     pub states_visited: u64,
@@ -255,33 +261,32 @@ pub struct Exploration {
     /// for the parallel explorer — both can be far below `max_depth` even
     /// when the state space is exhausted.
     pub max_depth_reached: u64,
-    /// Peak size of the frontier of states awaiting expansion; what a
-    /// "frontier entry" *is* differs per backend — see
+    /// Peak size of the explorer's frontier; what a "frontier entry" *is*
+    /// differs per backend — see
     /// [`frontier_semantics`](Self::frontier_semantics). Spilled entries
     /// count: the peak is a property of the search, not of where the
     /// entries happened to live.
     pub frontier_peak: u64,
     /// What [`frontier_peak`](Self::frontier_peak) measures for the backend
-    /// that produced this report: the deepest DFS stack for the serial
-    /// explorer, the widest BFS level for the parallel one.
+    /// that produced this report: the deepest DFS path stack for the
+    /// serial explorer, the widest BFS level for the parallel one.
     pub frontier_semantics: FrontierSemantics,
     /// States that were discovered but still awaiting expansion when the
     /// search stopped (0 when the space was exhausted). Together with
     /// [`states_visited`](Self::states_visited) this accounts for **every**
     /// discovered state: a truncated search loses nothing, which is what a
-    /// checkpoint-resume needs. The pre-fix explorer silently discarded the
-    /// state it had just popped when the budget ran out.
+    /// checkpoint-resume needs.
     pub pending_at_exit: u64,
     /// Entries held by the dedup seen-set when the search stopped (0 with
     /// dedup disabled).
     pub seen_entries: u64,
     /// A rough, deterministic estimate of the bytes held by the explorer's
-    /// data structures at their peak: the deep size of the peak frontier
-    /// (resident plus spilled, so the figure is spill-invariant) plus the
-    /// final seen-set table. Deep means heap payloads — register contents,
-    /// histories, decision maps — are charged per entry, not just the
-    /// struct shells; the pre-fix shallow accounting under-reported
-    /// history-heavy cells by an order of magnitude.
+    /// data structures at their peak: the deep size of the peak frontier —
+    /// the serial explorer's path-stack frames, the parallel explorer's
+    /// widest level — resident plus spilled, so the figure is
+    /// spill-invariant, plus the final seen-set table. Deep means heap
+    /// payloads — register contents, histories, decision maps — are charged
+    /// per entry, not just the struct shells.
     pub approx_bytes: u64,
     /// Cumulative number of frontier entries written to disk (0 unless
     /// [`ExploreConfig::spill`] was on and the resident budget was
@@ -305,9 +310,8 @@ pub struct Exploration {
     pub full_states_lower_bound: u64,
     /// `true` if the search pruned commuting interleavings with sleep sets:
     /// [`ReductionMode::SleepSets`] was requested **and** its preconditions
-    /// held (dedup on, at most 64 processes). When `false` despite a
-    /// request, the search fell back to plain expansion — same verdicts, no
-    /// transition reduction.
+    /// held (dedup on). When `false` despite a request, the search fell back
+    /// to plain expansion — same verdicts, no transition reduction.
     pub reduction_applied: bool,
     /// Number of successor configurations generated (one per expanded
     /// transition). Sleep sets leave
@@ -351,14 +355,10 @@ impl Exploration {
 }
 
 /// A collision-resistant dedup key: two independently salted 64-bit hashes
-/// over the full canonical state.
-///
-/// The pre-fix explorer keyed its seen-set by a single 64-bit
-/// `DefaultHasher` value, so one hash collision anywhere in a million-state
-/// search (birthday probability ≈ `s² / 2⁶⁵`, i.e. one in ~10⁷ per cell —
-/// material across whole campaigns) could unsoundly prune a reachable state
-/// while still reporting `verified`. The widened key makes that probability
-/// negligible; see [`Exploration::verified`].
+/// over the full canonical state. A single 64-bit key would collide
+/// somewhere in a million-state search with probability ≈ `s² / 2⁶⁵` (one
+/// in ~10⁷ per cell, material across campaigns) and unsoundly prune a
+/// reachable state; see [`Exploration::verified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateKey([u64; 2]);
 
@@ -857,7 +857,7 @@ where
 /// distinct-workload id-carrying cell) provably cannot merge anything, so
 /// they skip the per-slot signature work entirely rather than pay n extra
 /// memory hashes per state for a 1.0x reduction.
-pub(crate) fn keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
+pub fn keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> (StateKey, u64)
 where
     A: Automaton + Hash,
     A::Value: Hash + Clone + Eq + Debug,
@@ -897,38 +897,50 @@ where
     }
 }
 
+/// The most processes an explorer accepts: enabled, sleep and backtrack
+/// sets are `u64` bit masks indexed by process slot.
+pub const MAX_PROCESSES: usize = u64::BITS as usize;
+
+/// Rejects a system too wide for the process masks — the check every
+/// exploration engine makes once, at its entry.
+///
+/// # Panics
+///
+/// Panics, naming the limit, if `process_count` exceeds [`MAX_PROCESSES`].
+pub fn check_process_count(process_count: usize) {
+    assert!(
+        process_count <= MAX_PROCESSES,
+        "exploration supports at most {MAX_PROCESSES} processes (process sets are \
+         64-bit masks), but this system has {process_count}"
+    );
+}
+
 /// One process's bit in a `u64` process mask, checked: `None` for
 /// `p.index() >= 64`. The single chokepoint every mask builder below goes
 /// through — `1u64 << p.index()` alone is a masked shift in release builds,
-/// so a 65th process would silently alias process 1 instead of triggering
-/// the documented >64-process fallback.
+/// so a 65th process would silently alias process 1.
 pub fn checked_bit_of(process: ProcessId) -> Option<u64> {
     1u64.checked_shl(process.index() as u32)
 }
 
 /// The bit mask of a process set, checked: `None` if any process index is
-/// outside the 64-bit mask width. Callers that have already established the
-/// fallback precondition (`n <= 64`) use [`mask_of`].
+/// outside the 64-bit mask width.
 pub fn checked_mask_of(processes: &[ProcessId]) -> Option<u64> {
     processes
         .iter()
         .try_fold(0u64, |mask, p| Some(mask | checked_bit_of(*p)?))
 }
 
-/// The bit mask of a process set. Sleep masks are `u64` bit sets indexed by
-/// process slot — the reason sleep-set and persistent-set reduction fall
-/// back to plain expansion beyond 64 processes.
+/// The bit mask of a process set.
 ///
 /// # Panics
 ///
-/// Panics if a process index is outside the mask width: the explorers gate
-/// reduction on `n <= 64`, so an out-of-range index here is a bug, and the
-/// pre-fix wrapping shift would have aliased process `p` with `p - 64` in
-/// sleep/backtrack masks instead of failing. Use [`checked_mask_of`] when
-/// the precondition is not already established.
+/// Panics if a process index is outside the mask width — a bug inside the
+/// explorers, which reject systems of more than [`MAX_PROCESSES`] processes
+/// at entry ([`check_process_count`]). Use [`checked_mask_of`] when the
+/// limit is not already established.
 pub fn mask_of(processes: &[ProcessId]) -> u64 {
-    checked_mask_of(processes)
-        .expect("process index outside the 64-bit mask width; reduction must fall back at n > 64")
+    checked_mask_of(processes).expect("process index outside the 64-bit mask width")
 }
 
 /// The image of a process-set mask under a relabeling: bit `p` maps to bit
@@ -1175,23 +1187,20 @@ where
     })
 }
 
-/// The deterministic deep-byte charge of one frontier entry: the executor's
-/// [`deep size`](Executor::approx_deep_bytes) (struct shells **plus** heap
-/// payloads — register contents, histories, decision maps) plus the schedule
-/// vector and the entry's bookkeeping words.
+/// The deterministic deep-byte charge of one frontier entry or path-stack
+/// frame: the executor's [`deep size`](Executor::approx_deep_bytes) (struct
+/// shells **plus** heap payloads — register contents, histories, decision
+/// maps) plus the schedule vector and the entry's bookkeeping words.
 ///
-/// The pre-fix `estimate_bytes` charged only `size_of::<Executor<A>>()` per
-/// entry, blind to every heap allocation inside the state; a 4-process
-/// repeated-agreement cell reported ~430 MB while actually allocating
-/// ~3.8 GB. Length-based deep accounting keeps the figure a pure function
+/// A shallow `size_of` charge misses every heap allocation inside a state
+/// (a 4-process repeated-agreement cell read ~430 MB while allocating
+/// ~3.8 GB). Length-based deep accounting keeps the figure a pure function
 /// of the search (never of capacities or discovery order), so it stays
 /// byte-identical across worker counts and spill modes.
 ///
-/// Persistent-set (DPOR) path frames no longer hold a schedule — the path
-/// stack spells it — but they are still charged `schedule_len` (their
-/// depth) on purpose: the charge is a stable accounting unit, and keeping
-/// the term leaves `approx_bytes`, the resident-cap spill points and every
-/// JSONL byte exactly as they were when each frame owned its schedule.
+/// Path-stack frames hold no schedule (the path spells it) but are still
+/// charged their depth as `schedule_len`, the accounting unit of the
+/// parallel explorer's schedule-owning entries.
 pub(crate) fn entry_bytes<A: Automaton>(state: &Executor<A>, schedule_len: usize) -> u64 {
     state.approx_deep_bytes()
         + (std::mem::size_of::<Vec<ProcessId>>()
@@ -1214,39 +1223,102 @@ where
     state
 }
 
-/// One pending entry of the serial DFS. States are kept in their *original*
-/// labeling — canonical forms exist only inside the dedup keys — so witness
-/// schedules replay on the caller's executor as-is.
-struct DfsEntry<A: Automaton> {
-    state: Executor<A>,
-    schedule: Vec<ProcessId>,
-    orbit_lower: u64,
-    bytes: u64,
-    /// The sleep set this entry arrived with, in its own (original) process
-    /// labeling. Always 0 without sleep-set reduction.
+/// An eagerly admitted successor awaiting its descent: everything its frame
+/// needs except the executor, which the descent rebuilds by re-stepping the
+/// parent frame's state.
+struct Child {
+    process: ProcessId,
+    /// The sleep set the child arrives with, in its own labeling.
     sleep: u64,
-    /// `Some(owed)` marks a **revisit**: the state was already visited, but
-    /// an arrival with a smaller sleep set found the stored mask promised
-    /// too little — exactly the `owed` transitions must still be expanded.
-    /// Revisits are not re-counted in `states_visited`.
-    expand: Option<u64>,
+    /// `Some` for a revisit: see [`Claim::owed`].
+    owed: Option<u64>,
+    orbit: u64,
 }
 
-/// The serial explorer's seen-set: a bare key table, or — under sleep-set
-/// reduction — a map from key to the canonical-coordinate sleep mask the
-/// state's expansion is accountable to (smaller mask ⇒ more transitions
-/// covered). The map is only ever probed by key, never iterated, so the
-/// std `HashMap`'s seeded hasher cannot leak nondeterminism into output.
+/// One frame of the DFS path stack. The stack *is* the current schedule:
+/// frame `i` holds the state reached by the first `i` steps — the `taken`
+/// processes of `frames[..i]`, so no frame stores a schedule. States keep
+/// their *original* labeling (canonical forms exist only inside the dedup
+/// keys), so witness schedules replay on the caller's executor as-is.
+///
+/// Without persistent sets a frame expands **eagerly** when it is entered:
+/// every target transition is stepped, checked and claimed at once, and the
+/// admitted successors wait as [`Child`] records. Under
+/// [`ReductionMode::PersistentSets`] it expands **lazily**, one transition
+/// at a time from its backtrack set, so race detection can add processes to
+/// an ancestor's `backtrack` **after** the ancestor was first expanded.
+struct Frame<A: Automaton> {
+    /// `None` while the frame is frozen in a spill segment; rebuilt by
+    /// replay of the path prefix on thaw. The fields below stay resident so
+    /// race additions can target frozen frames without touching disk.
+    state: Option<Executor<A>>,
+    /// The next step of the current path, valid whenever a frame sits above
+    /// this one.
+    taken: ProcessId,
+    /// Persistent sets: the operation `taken` executed — the anchor races
+    /// are detected against.
+    taken_op: Option<Op<A::Value>>,
+    bytes: u64,
+    /// Enabled processes at this frame, in its own labeling.
+    runnable_mask: u64,
+    /// The sleep set this frame arrived with (own labeling).
+    sleep: u64,
+    /// `false` for owed-revisit frames, which are not re-counted.
+    fresh: bool,
+    /// Persistent sets: processes promised an expansion — the
+    /// sleep-filtered persistent set at creation, grown by dynamic
+    /// backtracking when a deeper transition races with an op outside it.
+    /// Never holds a sleeping process.
+    backtrack: u64,
+    /// Persistent sets: processes already expanded from this frame.
+    done: u64,
+    /// Persistent sets: the canonical key and relabeling of the frame's
+    /// stored promise, which backtrack growth shrinks.
+    promise: Option<(StateKey, IdRelabeling)>,
+    /// Eager expansion: the admitted successors not yet descended into, in
+    /// ascending process order; the DFS takes the last (highest) first.
+    children: Vec<Child>,
+}
+
+impl<A: Automaton> Frame<A> {
+    /// The transitions still awaiting their descent, as counted in
+    /// [`Exploration::pending_at_exit`]: one per admitted child, one for an
+    /// undrained backtrack set.
+    fn pending(&self) -> u64 {
+        self.children.len() as u64 + u64::from(self.backtrack & !self.done != 0)
+    }
+}
+
+/// The serial explorer's seen structure: nothing with dedup off, a bare key
+/// table without reduction, or — under sleep-set or persistent-set
+/// reduction — a map from key to the canonical-coordinate mask of enabled
+/// transitions the state's expansion is **not** accountable for (smaller
+/// mask ⇒ more transitions covered). The map is only ever probed by key,
+/// never iterated, so the std `HashMap`'s seeded hasher cannot leak
+/// nondeterminism into output.
 enum Seen {
-    Plain(KeyTable),
-    Masked(HashMap<StateKey, u64>),
+    Off,
+    Keys(KeyTable),
+    Masks(HashMap<StateKey, u64>),
+}
+
+/// A successor admitted by the seen structure.
+struct Claim {
+    /// `None` for a state never seen before. `Some(owed)` for a **revisit**
+    /// of a seen state whose stored promise leaves the `owed` transitions
+    /// (own labeling) uncovered: exactly those must still be expanded.
+    owed: Option<u64>,
+    key: StateKey,
+    orbit: u64,
+    relabel: IdRelabeling,
 }
 
 impl Seen {
     fn len(&self) -> u64 {
         match self {
-            Seen::Plain(table) => table.len() as u64,
-            Seen::Masked(map) => map.len() as u64,
+            Seen::Off => 0,
+            Seen::Keys(table) => table.len() as u64,
+            Seen::Masks(map) => map.len() as u64,
         }
     }
 
@@ -1254,11 +1326,84 @@ impl Seen {
     /// for its entry count, plus one mask word per entry when masked.
     fn table_bytes(&self) -> u64 {
         let len = self.len();
-        let masks = match self {
-            Seen::Plain(_) => 0,
-            Seen::Masked(_) => len * std::mem::size_of::<u64>() as u64,
+        match self {
+            Seen::Off => 0,
+            Seen::Keys(_) => KeyTable::bytes_for_len(len),
+            Seen::Masks(_) => KeyTable::bytes_for_len(len) + len * 8,
+        }
+    }
+
+    /// Keys `state` under `plan` and claims it for an arrival with sleep
+    /// set `sleep` (own labeling); `None` when its expansion is already
+    /// accounted for. Masks live in canonical coordinates, so arrivals from
+    /// different orbit members are comparable. A fresh state is stored with
+    /// the arrival's sleep set as its promise mask. A seen state with
+    /// stored mask `M` had its expansion cover enabled∖M; this arrival
+    /// needs enabled∖sleep, so `M`∖sleep is still owed, and the stored
+    /// promise shrinks to `M ∩ sleep`.
+    fn claim<A>(&mut self, plan: &SymmetryPlan, state: &Executor<A>, sleep: u64) -> Option<Claim>
+    where
+        A: Automaton + Hash,
+        A::Value: Hash + Clone + Eq + Debug,
+    {
+        let (key, orbit, relabel) = match self {
+            Seen::Off => (StateKey([0, 0]), 1, IdRelabeling::identity(0)),
+            Seen::Keys(_) => {
+                let (key, orbit) = keyed(state, plan);
+                (key, orbit, IdRelabeling::identity(0))
+            }
+            Seen::Masks(_) => keyed_relabeled(state, plan),
         };
-        KeyTable::bytes_for_len(len) + masks
+        let owed = match self {
+            Seen::Off => None,
+            // Plain keys: an identical state was expanded. Canonical keys: a
+            // configuration whose entire future is the consistently
+            // relabeled image of an expanded one — same verdicts, so pruning
+            // it is sound.
+            Seen::Keys(table) => match table.insert(key) {
+                true => None,
+                false => return None,
+            },
+            Seen::Masks(map) => {
+                let sleep = relabel_mask(sleep, &relabel);
+                match map.entry(key) {
+                    Entry::Vacant(vacant) => {
+                        vacant.insert(sleep);
+                        None
+                    }
+                    Entry::Occupied(mut occupied) => {
+                        let stored = *occupied.get();
+                        if stored & !sleep == 0 {
+                            return None;
+                        }
+                        occupied.insert(stored & sleep);
+                        Some(unrelabel_mask(stored & !sleep, &relabel))
+                    }
+                }
+            }
+        };
+        Some(Claim {
+            owed,
+            key,
+            orbit,
+            relabel,
+        })
+    }
+
+    /// Stores `uncovered` (canonical coordinates) as the promise of `key`.
+    fn promise(&mut self, key: StateKey, uncovered: u64) {
+        if let Seen::Masks(map) = self {
+            map.insert(key, uncovered);
+        }
+    }
+
+    /// Narrows the stored promise of `key`: its expansion now also covers
+    /// `covered` (canonical coordinates).
+    fn cover(&mut self, key: &StateKey, covered: u64) {
+        if let Seen::Masks(map) = self {
+            *map.get_mut(key)
+                .expect("every entered frame's key is stored") &= !covered;
+        }
     }
 }
 
@@ -1269,665 +1414,336 @@ impl Seen {
 /// The predicate receives the executor after each step and returns
 /// `Some(description)` to report a violation (which stops the search) or
 /// `None` if the configuration is acceptable.
-pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
+///
+/// One path-stack DFS serves every [`ExploreConfig`]. Without persistent
+/// sets each state expands eagerly on entry — successors in ascending
+/// process order, each checked, given its sleep set and claimed in the seen
+/// structure — and the search descends into the highest admitted successor
+/// first. Under [`ReductionMode::PersistentSets`] frames expand lazily from
+/// backtrack sets seeded by the sleep-filtered [static persistent
+/// set](persistent_set) and grown by Flanagan–Godefroid race detection,
+/// which also runs for dedup-pruned successors. Under either reduction the
+/// seen-map stores, per canonical key, the enabled transitions **not**
+/// promised an expansion, and an arrival whose sleep set leaves part of
+/// that uncovered enters an owed revisit for exactly that part.
+///
+/// All decisions are pure functions of the configuration, and every
+/// statistic is accounted when a frame is entered or left — never at spill
+/// boundaries — so output is byte-identical with spill on or off.
+///
+/// # Panics
+///
+/// Panics if the system has more than [`MAX_PROCESSES`] processes.
+pub fn explore<A, F>(initial: &Executor<A>, config: ExploreConfig, predicate: F) -> Exploration
 where
     A: Automaton + Clone + Hash,
     A::Value: Hash + Clone + Eq + Debug,
     F: FnMut(&Executor<A>) -> Option<String>,
 {
-    // Persistent-set selective search restructures the DFS around a path
-    // stack with per-frame backtrack sets; it lives in its own driver. The
-    // fallback preconditions are the sleep-set ones (the masks share the
-    // same dedup-map plumbing).
     let n = initial.process_count();
-    if config.reduction == ReductionMode::PersistentSets
-        && config.dedup
-        && n > 0
-        && n <= u64::BITS as usize
-    {
-        return explore_dpor(initial, config, predicate);
-    }
-    // Symmetry reduction needs the seen-set (it *is* a dedup strategy), so
-    // dedup-off searches fall back to plain enumeration.
-    let plan = SymmetryPlan::for_executor(
-        initial,
-        if config.dedup {
-            config.symmetry
-        } else {
-            SymmetryMode::Off
-        },
-    );
-    // Sleep masks live in the seen-map and in u64 bit sets, so reduction
-    // falls back (mirroring the symmetry fallback) when dedup is off or the
-    // system outgrows the mask width.
-    let reduce = config.reduction == ReductionMode::SleepSets
-        && config.dedup
-        && n > 0
-        && n <= u64::BITS as usize;
-    let mut seen = if reduce {
-        Seen::Masked(HashMap::new())
+    check_process_count(n);
+    // Symmetry and both reductions are dedup strategies (the masks are
+    // seen-map payloads), so dedup-off searches fall back to plain
+    // enumeration.
+    let (symmetry, reduction) = if config.dedup && n > 0 {
+        (config.symmetry, config.reduction)
     } else {
-        Seen::Plain(KeyTable::new())
+        (SymmetryMode::Off, ReductionMode::Off)
     };
-    let mut result = Exploration {
-        states_visited: 0,
-        paths: 0,
-        violation: None,
-        truncated: false,
-        max_depth_reached: 0,
-        frontier_peak: 0,
-        frontier_semantics: FrontierSemantics::DfsStackDepth,
-        pending_at_exit: 0,
-        seen_entries: 0,
-        approx_bytes: 0,
-        spilled_entries: 0,
-        symmetry_applied: plan.applied(),
-        full_states_lower_bound: 0,
-        reduction_applied: reduce,
-        expansions: 0,
-        sleep_pruned: 0,
-        persistent_expanded: 0,
-        states_cut: 0,
+    let plan = SymmetryPlan::for_executor(initial, symmetry);
+    let seen = match (config.dedup, reduction) {
+        (false, _) => Seen::Off,
+        (true, ReductionMode::Off) => Seen::Keys(KeyTable::new()),
+        (true, _) => Seen::Masks(HashMap::new()),
     };
-    // The initial configuration is reachable (by the empty schedule): a
-    // predicate that rejects it must be reported, not silently skipped.
-    if let Some(description) = predicate(initial) {
-        result.states_visited = 1;
-        result.full_states_lower_bound = 1;
-        result.violation = Some(ExploredViolation {
-            schedule: Vec::new(),
+    Dfs {
+        initial,
+        config,
+        result: Exploration {
+            symmetry_applied: plan.applied(),
+            reduction_applied: reduction != ReductionMode::Off,
+            ..Exploration::default()
+        },
+        plan,
+        predicate,
+        lazy: reduction == ReductionMode::PersistentSets,
+        seen,
+        frames: Vec::new(),
+        resident: 0,
+        spilled_logical: 0,
+        logical_peak: 0,
+        spill_dir: None,
+        segments: Vec::new(),
+        frozen_below: 0,
+    }
+    .run()
+}
+
+/// The state of one [`explore`] call.
+struct Dfs<'a, A: Automaton, F> {
+    initial: &'a Executor<A>,
+    config: ExploreConfig,
+    plan: SymmetryPlan,
+    predicate: F,
+    /// Persistent-set frames expand lazily from backtrack sets; all others
+    /// expand eagerly on entry.
+    lazy: bool,
+    seen: Seen,
+    result: Exploration,
+    frames: Vec<Frame<A>>,
+    /// Byte accounting: `resident` is the deep bytes of resident frames
+    /// (what the cap polices), `spilled_logical` what the frozen ones would
+    /// occupy resident. Their sum — whose peak feeds `approx_bytes` — is
+    /// conserved by freezing and thawing, so the figure is spill-invariant.
+    resident: u64,
+    spilled_logical: u64,
+    logical_peak: u64,
+    spill_dir: Option<SpillDir>,
+    /// Each segment freezes the frames `[start, start + count)` of the path
+    /// stack — always the coldest prefix of the still-resident frames — and
+    /// thaws only once the DFS has popped back down to its top frame.
+    segments: Vec<(PathBuf, usize, usize)>,
+    frozen_below: usize,
+}
+
+impl<A, F> Dfs<'_, A, F>
+where
+    A: Automaton + Clone + Hash,
+    A::Value: Hash + Clone + Eq + Debug,
+    F: FnMut(&Executor<A>) -> Option<String>,
+{
+    fn run(mut self) -> Exploration {
+        // The initial configuration is reachable (by the empty schedule): a
+        // predicate that rejects it must be reported, not silently skipped.
+        if let Some(description) = (self.predicate)(self.initial) {
+            self.result.states_visited = 1;
+            self.result.full_states_lower_bound = 1;
+            let _ = self.violation(Vec::new(), description);
+            return self.result;
+        }
+        let root = self
+            .seen
+            .claim(&self.plan, self.initial, 0)
+            .expect("nothing seen yet");
+        let promise = self.lazy.then_some((root.key, root.relabel));
+        let mut flow = self.enter(self.initial.clone(), 0, None, root.orbit, promise);
+        while flow.is_continue() {
+            let Some(top) = self.frames.len().checked_sub(1) else {
+                break;
+            };
+            let frame = &mut self.frames[top];
+            if frame.state.is_none() {
+                self.thaw();
+                continue;
+            }
+            if frame.pending() == 0 {
+                self.pop();
+                continue;
+            }
+            flow = if self.lazy {
+                self.expand_lazily(top)
+            } else {
+                // Descend into the highest pending child, rebuilding its
+                // state by one step from the frame's.
+                let child = frame.children.pop().expect("the frame has work");
+                frame.taken = child.process;
+                let mut state = frame.state.clone().expect("the top frame is resident");
+                state.step(child.process);
+                self.enter(state, child.sleep, child.owed, child.orbit, None)
+            };
+            if flow.is_continue() {
+                self.spill();
+            }
+        }
+        self.result.seen_entries = self.seen.len();
+        self.result.approx_bytes = self.logical_peak + self.seen.table_bytes();
+        self.result
+    }
+
+    /// Stops the search at a violating configuration reached by `schedule`.
+    fn violation(&mut self, schedule: Vec<ProcessId>, description: String) -> ControlFlow<()> {
+        self.result.max_depth_reached = self.result.max_depth_reached.max(schedule.len() as u64);
+        self.result.violation = Some(ExploredViolation {
+            schedule,
             description,
         });
-        return result;
+        ControlFlow::Break(())
     }
-    let (initial_key, initial_orbit) = keyed(initial, &plan);
-    let initial_bytes = entry_bytes(initial, 0);
-    let mut stack: Vec<DfsEntry<A>> = vec![DfsEntry {
-        state: initial.clone(),
-        schedule: Vec::new(),
-        orbit_lower: initial_orbit,
-        bytes: initial_bytes,
-        sleep: 0,
-        expand: None,
-    }];
-    result.frontier_peak = 1;
-    match &mut seen {
-        Seen::Plain(table) => {
-            if config.dedup {
-                table.insert(initial_key);
-            }
+
+    /// Enters `state`, reached by the current path plus one step (or the
+    /// initial state): counts it if fresh, pushes its frame and, for eager
+    /// frames, expands it at once. `owed` is `Some(mask)` for revisits;
+    /// `promise` carries a persistent-set frame's key and relabeling.
+    ///
+    /// The one budget check sits here, right before a new state is
+    /// visited: the state budget, and — without spill — the resident byte
+    /// budget. A space of exactly `max_states` states is therefore
+    /// exhausted, not truncated, and a truncated search leaves the state it
+    /// was about to enter and every frame's unfinished work *pending*
+    /// ([`Exploration::pending_at_exit`]), never silently discarded.
+    fn enter(
+        &mut self,
+        state: Executor<A>,
+        sleep: u64,
+        owed: Option<u64>,
+        orbit: u64,
+        promise: Option<(StateKey, IdRelabeling)>,
+    ) -> ControlFlow<()> {
+        let fresh = owed.is_none();
+        let cap = self.config.max_resident_bytes;
+        if fresh
+            && (self.result.states_visited >= self.config.max_states
+                || (cap > 0 && !self.config.spill && self.resident > cap))
+        {
+            self.result.truncated = true;
+            self.result.pending_at_exit = 1 + self.frames.iter().map(Frame::pending).sum::<u64>();
+            return ControlFlow::Break(());
         }
-        // The root arrives with the empty sleep set, whose canonical image
-        // is itself.
-        Seen::Masked(map) => {
-            map.insert(initial_key, 0);
-        }
-    }
-    // Byte accounting. `resident` tracks the deep bytes of in-memory
-    // frontier entries (what the cap polices); `spilled_logical` the deep
-    // bytes their spilled counterparts *would* occupy resident. Their sum —
-    // whose peak feeds `approx_bytes` — is conserved by spilling and
-    // reloading, so the reported figure is spill-invariant.
-    let cap = config.max_resident_bytes;
-    let mut resident: u64 = initial_bytes;
-    let mut spilled_logical: u64 = 0;
-    let mut logical_peak: u64 = resident;
-    // Spilled chunks form a LIFO of sealed segment files: the most recently
-    // frozen chunk is the deepest part of the stack, so it reloads first,
-    // preserving exact DFS order (and therefore every verdict and
-    // statistic) across spill boundaries.
-    let mut spill_dir: Option<SpillDir> = None;
-    let mut segments: Vec<(PathBuf, u64)> = Vec::new();
-    let mut spilled_pending: u64 = 0;
-    let mut spill_seq: u64 = 0;
-    loop {
-        // Budget first, pop second: running out of budget must leave every
-        // pending state *pending* (counted in `pending_at_exit`, resumable
-        // from a checkpoint) — the pre-fix code popped first and silently
-        // discarded the popped state on truncation. Visiting exactly
-        // `max_states` states and then finding no pending work is still an
-        // exhausted search, not a truncated one.
-        if result.states_visited >= config.max_states {
-            let pending = stack.len() as u64 + spilled_pending;
-            if pending > 0 {
-                result.truncated = true;
-                result.pending_at_exit = pending;
-            }
-            break;
-        }
-        // A resident-byte budget without spill is a deterministic
-        // truncation — same accounting as exhausting the state budget.
-        if cap > 0 && !config.spill && resident > cap {
-            result.truncated = true;
-            result.pending_at_exit = stack.len() as u64 + spilled_pending;
-            break;
-        }
-        let Some(entry) = stack.pop() else {
-            if spilled_pending == 0 {
-                break;
-            }
-            // Resident stack drained: thaw the most recently spilled chunk.
-            // Records were frozen bottom-to-top, so pushing them back in
-            // file order restores their exact relative order.
-            let (path, count) = segments.pop().expect("spilled work implies a segment");
-            let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
-                .expect("reading back a spilled frontier segment");
-            let _ = std::fs::remove_file(&path);
-            debug_assert_eq!(records.len() as u64, count);
-            for record in &records {
-                let frozen = decode_frontier_record(record, initial.process_count())
-                    .expect("decoding a spilled frontier record");
-                let state = replay(initial, &frozen.schedule);
-                let bytes = entry_bytes(&state, frozen.schedule.len());
-                resident += bytes;
-                spilled_logical = spilled_logical.saturating_sub(bytes);
-                stack.push(DfsEntry {
-                    state,
-                    schedule: frozen.schedule,
-                    orbit_lower: frozen.orbit_lower,
-                    bytes,
-                    sleep: frozen.sleep,
-                    expand: frozen.expand,
-                });
-            }
-            spilled_pending -= count;
-            continue;
-        };
-        let DfsEntry {
-            state,
-            schedule,
-            orbit_lower,
-            bytes,
-            sleep,
-            expand,
-        } = entry;
-        resident -= bytes;
-        let is_revisit = expand.is_some();
-        if !is_revisit {
-            result.states_visited += 1;
-            result.full_states_lower_bound =
-                result.full_states_lower_bound.saturating_add(orbit_lower);
-            result.max_depth_reached = result.max_depth_reached.max(schedule.len() as u64);
-        }
+        let depth = self.frames.len();
         let runnable = state.runnable();
-        if runnable.is_empty() || schedule.len() as u64 >= config.max_depth {
-            if !runnable.is_empty() {
-                // Depth bound cut this path short.
-                result.truncated = true;
-            }
-            if !is_revisit {
-                result.paths += 1;
-            }
-            continue;
-        }
-        // Fresh entries expand everything enabled outside their sleep set;
-        // revisits expand exactly the transitions the stored mask still
-        // owed when they were pushed. (Enabledness is monotone — a process
-        // stays enabled until it steps — so sleeping and owed processes are
-        // always still runnable here.)
         let runnable_mask = mask_of(&runnable);
-        let targets = match expand {
-            Some(owed) => owed,
-            None => runnable_mask & !sleep,
-        };
-        if reduce && !is_revisit {
-            result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
+        let leaf = runnable.is_empty() || depth as u64 >= self.config.max_depth;
+        if fresh {
+            self.result.states_visited += 1;
+            self.result.full_states_lower_bound =
+                self.result.full_states_lower_bound.saturating_add(orbit);
+            self.result.max_depth_reached = self.result.max_depth_reached.max(depth as u64);
+            // An eager leaf expands nothing, so it prunes nothing either.
+            if self.lazy || !leaf {
+                self.result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
+            }
         }
-        let mut sleep_cur = sleep;
-        for process in runnable {
+        // Persistent-set revisits expand what they owe even past the depth
+        // bound; everything else stops at a leaf.
+        if leaf && (fresh || !self.lazy) {
+            // A leaf with enabled processes is a path the depth bound cut.
+            self.result.truncated |= runnable_mask != 0;
+            self.result.paths += u64::from(fresh);
+        }
+        let backtrack = match owed {
+            _ if !self.lazy => 0,
+            Some(owed) => owed,
+            None if leaf => 0,
+            // Seed from the lowest non-sleeping enabled process; the closure
+            // still ranges over everything enabled, but sleeping members are
+            // filtered out of the promise (their coverage is owned by the
+            // path that put them to sleep).
+            None => {
+                runnable
+                    .iter()
+                    .find(|q| sleep & mask_of(&[**q]) == 0)
+                    .map(|seed| persistent_closure(&state, &runnable, *seed))
+                    .unwrap_or(0)
+                    & !sleep
+            }
+        };
+        if let (true, Some((key, relabel))) = (fresh, &promise) {
+            // Promise: everything enabled outside the (sleep-filtered)
+            // backtrack set is *not* covered here.
+            self.seen
+                .promise(*key, relabel_mask(runnable_mask & !backtrack, relabel));
+        }
+        let bytes = entry_bytes(&state, depth);
+        self.frames.push(Frame {
+            state: Some(state),
+            taken: ProcessId(0),
+            taken_op: None,
+            bytes,
+            runnable_mask,
+            sleep,
+            fresh,
+            backtrack,
+            done: 0,
+            promise,
+            children: Vec::new(),
+        });
+        self.resident += bytes;
+        let flow = if self.lazy || leaf {
+            ControlFlow::Continue(())
+        } else {
+            // Fresh frames expand everything enabled outside their sleep
+            // set; revisits exactly the transitions still owed. (Enabledness
+            // is monotone — a process stays enabled until it steps — so
+            // both masks only name runnable processes.)
+            self.expand_eagerly(&runnable, owed.unwrap_or(runnable_mask & !sleep))
+        };
+        self.result.frontier_peak = self.result.frontier_peak.max(self.frames.len() as u64);
+        self.logical_peak = self.logical_peak.max(self.resident + self.spilled_logical);
+        flow
+    }
+
+    /// Steps every `targets` transition of the (just entered) top frame,
+    /// checks each successor, and records the admitted ones as children.
+    fn expand_eagerly(&mut self, runnable: &[ProcessId], targets: u64) -> ControlFlow<()> {
+        let top = self.frames.len() - 1;
+        let frame = &self.frames[top];
+        let state = frame.state.as_ref().expect("an entered frame is resident");
+        let sleep_sets = matches!(self.seen, Seen::Masks(_));
+        let mut sleep_cur = frame.sleep;
+        let mut children = Vec::new();
+        for &process in runnable {
             let bit = 1u64 << process.index();
             if targets & bit == 0 {
                 continue;
             }
-            result.expansions += 1;
+            self.result.expansions += 1;
             let mut next = state.clone();
             next.step(process);
-            let mut next_schedule = schedule.clone();
-            next_schedule.push(process);
-            if let Some(description) = predicate(&next) {
-                result.max_depth_reached = result.max_depth_reached.max(next_schedule.len() as u64);
-                result.violation = Some(ExploredViolation {
-                    schedule: next_schedule,
-                    description,
-                });
-                result.seen_entries = seen.len();
-                result.approx_bytes = logical_peak + seen_table_bytes(config, &seen);
-                return result;
+            if let Some(description) = (self.predicate)(&next) {
+                let mut schedule = path_schedule(&self.frames[..top]);
+                schedule.push(process);
+                return self.violation(schedule, description);
             }
             // The successor sleeps on every still-independent member of the
             // *current* sleep set — which grows by each transition expanded
             // from this state, so later siblings sleep on earlier ones.
-            let child_sleep = if reduce {
-                successor_sleep_from(&state, process, &next, sleep_cur)
+            let sleep = if sleep_sets {
+                successor_sleep_from(state, process, &next, sleep_cur)
             } else {
                 0
             };
-            match &mut seen {
-                Seen::Plain(table) => {
-                    let mut next_orbit = 1;
-                    if config.dedup {
-                        let (key, orbit) = keyed(&next, &plan);
-                        if !table.insert(key) {
-                            // Plain keys: an identical state was expanded.
-                            // Canonical keys: a configuration whose entire
-                            // future is the consistently relabeled image of
-                            // an expanded one — same verdicts, so pruning
-                            // it is sound.
-                            continue;
-                        }
-                        next_orbit = orbit;
-                    }
-                    let next_bytes = entry_bytes(&next, next_schedule.len());
-                    resident += next_bytes;
-                    stack.push(DfsEntry {
-                        state: next,
-                        schedule: next_schedule,
-                        orbit_lower: next_orbit,
-                        bytes: next_bytes,
-                        sleep: 0,
-                        expand: None,
-                    });
-                }
-                Seen::Masked(map) => {
-                    // Masks are stored in canonical coordinates so arrivals
-                    // from different orbit members are comparable; the
-                    // entry keeps its own labeling, converting back on the
-                    // way out.
-                    let (key, orbit, relabel) = keyed_relabeled(&next, &plan);
-                    let canon_sleep = relabel_mask(child_sleep, &relabel);
-                    let push = match map.entry(key) {
-                        std::collections::hash_map::Entry::Vacant(vacant) => {
-                            vacant.insert(canon_sleep);
-                            Some((orbit, None))
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                            // The state was visited with stored mask M: its
-                            // expansion covered enabled∖M. This arrival
-                            // needs enabled∖Z — anything in M∖Z is still
-                            // owed, so push a revisit for exactly that and
-                            // shrink the stored promise to M∩Z.
-                            let stored = *occupied.get();
-                            let owed = stored & !canon_sleep;
-                            if owed == 0 {
-                                None
-                            } else {
-                                occupied.insert(stored & canon_sleep);
-                                Some((0, Some(unrelabel_mask(owed, &relabel))))
-                            }
-                        }
-                    };
-                    if let Some((next_orbit, next_expand)) = push {
-                        let next_bytes = entry_bytes(&next, next_schedule.len());
-                        resident += next_bytes;
-                        stack.push(DfsEntry {
-                            state: next,
-                            schedule: next_schedule,
-                            orbit_lower: next_orbit,
-                            bytes: next_bytes,
-                            sleep: child_sleep,
-                            expand: next_expand,
-                        });
-                    }
-                }
+            if let Some(claim) = self.seen.claim(&self.plan, &next, sleep) {
+                children.push(Child {
+                    process,
+                    sleep,
+                    owed: claim.owed,
+                    orbit: claim.orbit,
+                });
             }
             // The transition was expanded (or its target's coverage is
             // promised elsewhere): later siblings may sleep on it.
             sleep_cur |= bit;
         }
-        result.frontier_peak = result
-            .frontier_peak
-            .max(stack.len() as u64 + spilled_pending);
-        logical_peak = logical_peak.max(resident + spilled_logical);
-        // Over budget with spill enabled: freeze the *bottom* half of the
-        // stack (the coldest entries — DFS will not revisit them until
-        // everything above is done) into a sealed segment of
-        // (schedule, orbit) records. No executor bytes hit the disk; thawed
-        // entries are rebuilt by replay.
-        if config.spill && cap > 0 && resident > cap && stack.len() >= 2 {
-            let dir = match &spill_dir {
-                Some(dir) => dir,
-                None => {
-                    spill_dir = Some(SpillDir::fresh().expect("creating the spill directory"));
-                    spill_dir.as_ref().expect("just created")
-                }
-            };
-            let path = dir.file(&format!("frontier-{spill_seq:08}.seg"));
-            let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, spill_seq)
-                .expect("creating a frontier spill segment");
-            spill_seq += 1;
-            let half = stack.len() / 2;
-            for entry in stack.drain(..half) {
-                writer
-                    .append(&encode_frontier_record(&FrontierRecord {
-                        schedule: entry.schedule,
-                        orbit_lower: entry.orbit_lower,
-                        sleep: entry.sleep,
-                        expand: entry.expand,
-                        backtrack: 0,
-                        done: 0,
-                    }))
-                    .expect("writing a frontier spill record");
-                resident -= entry.bytes;
-                spilled_logical += entry.bytes;
-            }
-            writer.finish().expect("sealing a frontier spill segment");
-            segments.push((path, half as u64));
-            spilled_pending += half as u64;
-            result.spilled_entries += half as u64;
-        }
+        self.frames[top].children = children;
+        ControlFlow::Continue(())
     }
-    if !plan.applied() {
-        // Without symmetry every visited state is its own orbit.
-        result.full_states_lower_bound = result.states_visited;
-    }
-    result.seen_entries = seen.len();
-    result.approx_bytes = logical_peak + seen_table_bytes(config, &seen);
-    result
-}
 
-/// One frame of the persistent-set DFS path stack. Unlike [`DfsEntry`]
-/// (siblings coexist on the stack), the stack here *is* the current
-/// schedule: frame `i` holds the state reached by the first `i` steps —
-/// the `taken` processes of `frames[..i]`, so no frame stores a schedule —
-/// and expands one transition at a time from its backtrack set, so
-/// Flanagan–Godefroid race detection can add processes to an ancestor's
-/// `backtrack` **after** the ancestor was first expanded.
-struct DporFrame<A: Automaton> {
-    /// `None` while the frame is frozen in a spill segment; rebuilt by
-    /// replay of the path prefix on thaw. The fields below stay resident so
-    /// race additions can target frozen frames without touching disk.
-    state: Option<Executor<A>>,
-    /// The operation most recently executed *from* this frame along the
-    /// current path — the anchor races are detected against.
-    taken_op: Option<Op<A::Value>>,
-    /// The process that executed `taken_op`: the next step of the current
-    /// path, valid whenever a frame sits above this one.
-    taken: ProcessId,
-    bytes: u64,
-    /// Enabled processes at this frame, in its own labeling.
-    runnable_mask: u64,
-    /// The sleep set this frame arrived with (own labeling).
-    sleep: u64,
-    /// Processes promised an expansion: the sleep-filtered persistent set at
-    /// creation, grown by dynamic backtracking when a deeper transition
-    /// races with an op outside it.
-    backtrack: u64,
-    /// Processes already expanded from this frame.
-    done: u64,
-    /// `false` for owed-revisit frames, which re-expand transitions a
-    /// smaller-sleep arrival found uncovered and are not re-counted.
-    fresh: bool,
-    /// Canonical dedup key and the relabeling that produced it, kept so
-    /// backtrack growth can shrink the stored promise mask in canonical
-    /// coordinates.
-    key: StateKey,
-    relabel: IdRelabeling,
-}
-
-/// The serial persistent-set explorer: a path-stack DFS with
-/// Flanagan–Godefroid dynamic backtracking, dispatched to by [`explore`]
-/// under [`ReductionMode::PersistentSets`] (dedup on, ≤ 64 processes).
-///
-/// Each fresh state's initial backtrack set is the sleep-filtered
-/// [static persistent set](persistent_set); whenever a newly generated
-/// transition's op is *dependent* with the op an ancestor frame executed,
-/// the new process is added to that ancestor's backtrack set — re-adding
-/// exactly the schedules the static closure could not prove redundant.
-/// Dedup uses the sleep-set promise discipline: the stored mask per
-/// canonical key is the set of enabled transitions **not** promised an
-/// expansion (it shrinks as backtrack sets grow), and an arrival whose
-/// sleep set leaves part of the stored mask uncovered pushes an owed
-/// revisit for exactly that part. Race detection also runs for dedup-pruned
-/// successors, so promises made by a pruned subtree's representative are
-/// tightened the moment a race is visible at the prune point.
-///
-/// All decisions are pure functions of the configuration, and every
-/// statistic is accounted at frame creation or completion — never at spill
-/// boundaries — so output is byte-identical with spill on or off.
-fn explore_dpor<A, F>(initial: &Executor<A>, config: ExploreConfig, mut predicate: F) -> Exploration
-where
-    A: Automaton + Clone + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-    F: FnMut(&Executor<A>) -> Option<String>,
-{
-    let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    let mut result = Exploration {
-        states_visited: 0,
-        paths: 0,
-        violation: None,
-        truncated: false,
-        max_depth_reached: 0,
-        frontier_peak: 0,
-        frontier_semantics: FrontierSemantics::DfsStackDepth,
-        pending_at_exit: 0,
-        seen_entries: 0,
-        approx_bytes: 0,
-        spilled_entries: 0,
-        symmetry_applied: plan.applied(),
-        full_states_lower_bound: 0,
-        reduction_applied: true,
-        expansions: 0,
-        sleep_pruned: 0,
-        persistent_expanded: 0,
-        states_cut: 0,
-    };
-    if let Some(description) = predicate(initial) {
-        result.states_visited = 1;
-        result.full_states_lower_bound = 1;
-        result.violation = Some(ExploredViolation {
-            schedule: Vec::new(),
-            description,
-        });
-        return result;
-    }
-    // Seen-map: canonical key → mask of enabled transitions NOT promised an
-    // expansion (canonical coordinates). Same discipline as the sleep-set
-    // explorer, except promises also shrink when backtracking grows.
-    let mut map: HashMap<StateKey, u64> = HashMap::new();
-    let mut frames: Vec<DporFrame<A>> = Vec::new();
-    // Byte accounting mirrors `explore`: resident + spilled_logical is
-    // conserved by freezing/thawing, so `approx_bytes` is spill-invariant.
-    let cap = config.max_resident_bytes;
-    let mut resident: u64 = 0;
-    let mut spilled_logical: u64 = 0;
-    let mut logical_peak: u64 = 0;
-    let mut spill_dir: Option<SpillDir> = None;
-    // Each segment freezes the frames `[start, start + count)` of the path
-    // stack — always the coldest prefix of the still-resident frames — and
-    // thaws only once the DFS has popped back down to its top frame.
-    let mut segments: Vec<(PathBuf, usize, usize)> = Vec::new();
-    let mut spill_seq: u64 = 0;
-    let mut frozen_below: usize = 0;
-
-    // Creates (and accounts) a frame for `state` at path depth `depth`,
-    // arriving with `sleep`; `owed` is `Some(mask)` for revisit frames.
-    // Returns the frame; the caller pushes it.
-    let make_frame = |state: Executor<A>,
-                      depth: usize,
-                      sleep: u64,
-                      owed: Option<u64>,
-                      key: StateKey,
-                      orbit: u64,
-                      relabel: IdRelabeling,
-                      result: &mut Exploration,
-                      map: &mut HashMap<StateKey, u64>|
-     -> DporFrame<A> {
-        let runnable = state.runnable();
-        let runnable_mask = mask_of(&runnable);
-        let fresh = owed.is_none();
-        if fresh {
-            result.states_visited += 1;
-            result.full_states_lower_bound = result.full_states_lower_bound.saturating_add(orbit);
-            result.max_depth_reached = result.max_depth_reached.max(depth as u64);
-            result.sleep_pruned += (sleep & runnable_mask).count_ones() as u64;
-        }
-        let backtrack = match owed {
-            Some(owed) => owed,
-            None if depth as u64 >= config.max_depth => 0,
-            None => {
-                // Seed from the lowest non-sleeping enabled process; the
-                // closure still ranges over everything enabled, but sleeping
-                // members are filtered out of the promise (their coverage is
-                // owned by the path that put them to sleep).
-                let seeded = runnable
-                    .iter()
-                    .find(|q| sleep & mask_of(&[**q]) == 0)
-                    .map(|seed| persistent_closure(&state, &runnable, *seed))
-                    .unwrap_or(0);
-                seeded & !sleep
-            }
-        };
-        if fresh {
-            // Promise: everything enabled outside the (sleep-filtered)
-            // backtrack set is *not* covered here. Sleeping transitions are
-            // never promised (mirroring the sleep-set explorer's stored Z).
-            map.insert(key, relabel_mask(runnable_mask & !backtrack, &relabel));
-        }
-        let bytes = entry_bytes(&state, depth);
-        DporFrame {
-            state: Some(state),
-            taken_op: None,
-            taken: ProcessId(0),
-            bytes,
-            runnable_mask,
-            sleep,
-            backtrack,
-            done: 0,
-            fresh,
-            key,
-            relabel,
-        }
-    };
-
-    let (root_key, root_orbit, root_relabel) = keyed_relabeled(initial, &plan);
-    let root = make_frame(
-        initial.clone(),
-        0,
-        0,
-        None,
-        root_key,
-        root_orbit,
-        root_relabel,
-        &mut result,
-        &mut map,
-    );
-    resident += root.bytes;
-    logical_peak = logical_peak.max(resident);
-    frames.push(root);
-    result.frontier_peak = 1;
-
-    loop {
-        if cap > 0 && !config.spill && resident > cap {
-            result.truncated = true;
-            result.pending_at_exit =
-                frames.iter().filter(|f| f.backtrack & !f.done != 0).count() as u64;
-            break;
-        }
-        let Some(top) = frames.len().checked_sub(1) else {
-            break;
-        };
-        if frames[top].state.is_none() {
-            // The DFS popped back down into a frozen range: thaw the most
-            // recently sealed segment (it covers exactly the frames up to
-            // and including the current top). The resident path is
-            // authoritative: each state is rebuilt by replaying the path
-            // prefix, one step past the frame below, and a record whose
-            // schedule disagrees with that prefix stops the search rather
-            // than resume from a state the path does not reach.
-            let (path, start, count) = segments.pop().expect("frozen frame implies a segment");
-            debug_assert_eq!(start + count, frames.len());
-            let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
-                .expect("reading back a spilled DPOR segment");
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(
-                records.len(),
-                count,
-                "spilled DPOR segment {} holds the wrong number of frames",
-                path.display()
-            );
-            let mut prefix = path_schedule(&frames[..start]);
-            let mut state = replay(initial, &prefix);
-            for (offset, record) in records.iter().enumerate() {
-                let depth = start + offset;
-                if offset > 0 {
-                    let taken = frames[depth - 1].taken;
-                    state.step(taken);
-                    prefix.push(taken);
-                }
-                let frozen = decode_frontier_record(record, initial.process_count())
-                    .expect("decoding a spilled DPOR record");
-                assert!(
-                    frozen.schedule == prefix,
-                    "spilled DPOR segment {} records schedule {:?} for the frame at depth \
-                     {depth}, but the resident path reaches it by {:?}",
-                    path.display(),
-                    frozen.schedule,
-                    prefix
-                );
-                let frame = &mut frames[depth];
-                // Resident masks are authoritative — they may have grown by
-                // race additions since the freeze — so merge by union.
-                frame.backtrack |= frozen.backtrack;
-                frame.done |= frozen.done;
-                resident += frame.bytes;
-                spilled_logical = spilled_logical.saturating_sub(frame.bytes);
-                frame.state = Some(state.clone());
-            }
-            frozen_below = segments.last().map_or(0, |(_, s, c)| s + c);
-            continue;
-        }
-        let todo = frames[top].backtrack & !frames[top].done;
-        if todo == 0 {
-            let frame = frames.pop().expect("top frame exists");
-            resident -= frame.bytes;
-            if frame.fresh {
-                // The popped frame sat at depth `frames.len()`.
-                let at_bound = frames.len() as u64 >= config.max_depth;
-                if frame.runnable_mask == 0 || at_bound {
-                    result.paths += 1;
-                    if frame.runnable_mask != 0 {
-                        result.truncated = true;
-                    }
-                } else {
-                    // Enabled, unslept, never expanded: the roots of the
-                    // subtrees the persistent set proved redundant.
-                    result.states_cut +=
-                        (frame.runnable_mask & !frame.done & !frame.sleep).count_ones() as u64;
-                }
-            }
-            continue;
-        }
+    /// Expands the lowest pending backtrack transition of persistent-set
+    /// frame `top`, runs race detection for the successor and enters it
+    /// unless the seen structure already covers it.
+    fn expand_lazily(&mut self, top: usize) -> ControlFlow<()> {
+        let frame = &mut self.frames[top];
+        let todo = frame.backtrack & !frame.done;
         let bit = todo & todo.wrapping_neg();
         let process = ProcessId(bit.trailing_zeros() as usize);
-        frames[top].done |= bit;
-        if frames[top].sleep & bit != 0 {
-            // A race addition may name a sleeping process; its orders are
-            // covered by the path that put it to sleep.
-            continue;
-        }
-        let state = frames[top].state.as_ref().expect("top frame is thawed");
+        frame.done |= bit;
+        let state = frame.state.as_ref().expect("the top frame is resident");
         let taken_op = state.poised(process);
         let mut next = state.clone();
         next.step(process);
-        frames[top].taken_op = taken_op;
-        frames[top].taken = process;
-        result.expansions += 1;
-        result.persistent_expanded += 1;
-        if let Some(description) = predicate(&next) {
+        // The successor sleeps on still-independent previously expanded
+        // siblings (done ∖ {bit}) and inherited sleepers.
+        let sleep = successor_sleep_from(state, process, &next, frame.sleep | (frame.done & !bit));
+        frame.taken_op = taken_op;
+        frame.taken = process;
+        self.result.expansions += 1;
+        self.result.persistent_expanded += 1;
+        if let Some(description) = (self.predicate)(&next) {
             // `next` sits one step above the top frame: the whole path.
-            result.max_depth_reached = result.max_depth_reached.max(frames.len() as u64);
-            result.violation = Some(ExploredViolation {
-                schedule: path_schedule(&frames),
-                description,
-            });
-            result.seen_entries = map.len() as u64;
-            result.approx_bytes = logical_peak
-                + KeyTable::bytes_for_len(map.len() as u64)
-                + map.len() as u64 * std::mem::size_of::<u64>() as u64;
-            return result;
+            return self.violation(path_schedule(&self.frames), description);
         }
         // Flanagan–Godefroid race detection, run for EVERY generated
-        // successor (pushed or dedup-pruned): each process enabled at the
+        // successor (entered or dedup-pruned): each process enabled at the
         // successor is raced against the ops executed along the current
         // path — frame `top`'s op is the one just taken. The *last*
         // dependent frame gains the process in its backtrack set. No
@@ -1937,164 +1753,148 @@ where
         // one, the frame that executed it has `q` in `done` and the scan
         // stops there; if independent (a no-op prelude, say), the scan
         // correctly ranges past it to older conflicting frames.
-        let next_runnable = next.runnable();
-        for q in &next_runnable {
-            let q_bit = mask_of(&[*q]);
-            let q_op = next.poised(*q);
-            for j in (0..frames.len()).rev() {
+        for q in next.runnable() {
+            let q_bit = mask_of(&[q]);
+            let q_op = next.poised(q);
+            for frame in self.frames.iter_mut().rev() {
                 // An op we cannot judge is treated as dependent.
-                let dependent = match (&frames[j].taken_op, &q_op) {
+                let dependent = match (&frame.taken_op, &q_op) {
                     (Some(t), Some(o)) => !independent(t, o),
                     _ => true,
                 };
                 if !dependent {
                     continue;
                 }
-                if frames[j].backtrack & q_bit == 0
-                    && frames[j].done & q_bit == 0
-                    && frames[j].sleep & q_bit == 0
-                {
+                if (frame.backtrack | frame.done | frame.sleep) & q_bit == 0 {
                     debug_assert!(
-                        frames[j].runnable_mask & q_bit != 0,
+                        frame.runnable_mask & q_bit != 0,
                         "enabledness is monotone: a process enabled deeper is enabled here"
                     );
-                    frames[j].backtrack |= q_bit;
+                    frame.backtrack |= q_bit;
                     // The frame now promises this transition too.
-                    if let Some(stored) = map.get_mut(&frames[j].key) {
-                        *stored &= !relabel_mask(q_bit, &frames[j].relabel);
-                    }
+                    let (key, relabel) = frame.promise.as_ref().expect("lazy frames promise");
+                    self.seen.cover(key, relabel_mask(q_bit, relabel));
                 }
                 break;
             }
         }
-        let (key, orbit, relabel) = keyed_relabeled(&next, &plan);
-        // The successor sleeps on still-independent previously expanded
-        // siblings (done ∖ {bit}) and inherited sleepers, exactly as in the
-        // sleep-set explorer.
-        let sibling_base = frames[top].sleep | (frames[top].done & !bit);
-        let state = frames[top].state.as_ref().expect("top frame is thawed");
-        let child_sleep = successor_sleep_from(state, process, &next, sibling_base);
-        let canon_sleep = relabel_mask(child_sleep, &relabel);
-        let push = match map.entry(key) {
-            std::collections::hash_map::Entry::Vacant(_) => {
-                // Budget check exactly where a new state would be counted:
-                // a space of exactly `max_states` states drains every
-                // backtrack set and exits exhausted, not truncated.
-                if result.states_visited >= config.max_states {
-                    result.truncated = true;
-                    result.pending_at_exit =
-                        frames.iter().filter(|f| f.backtrack & !f.done != 0).count() as u64 + 1;
-                    break;
-                }
-                Some(None)
-            }
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                let stored = *occupied.get();
-                let owed = stored & !canon_sleep;
-                if owed == 0 {
-                    None
-                } else {
-                    occupied.insert(stored & canon_sleep);
-                    Some(Some(unrelabel_mask(owed, &relabel)))
-                }
-            }
+        let Some(claim) = self.seen.claim(&self.plan, &next, sleep) else {
+            return ControlFlow::Continue(());
         };
-        if let Some(owed) = push {
-            let frame = make_frame(
-                next,
-                top + 1,
-                child_sleep,
-                owed,
-                key,
-                orbit,
-                relabel,
-                &mut result,
-                &mut map,
-            );
-            resident += frame.bytes;
-            frames.push(frame);
+        let promise = Some((claim.key, claim.relabel));
+        self.enter(next, sleep, claim.owed, claim.orbit, promise)
+    }
+
+    /// Leaves the finished top frame.
+    fn pop(&mut self) {
+        let frame = self.frames.pop().expect("the top frame exists");
+        self.resident -= frame.bytes;
+        // The popped frame sat at depth `frames.len()`.
+        let at_bound = self.frames.len() as u64 >= self.config.max_depth;
+        if self.lazy && frame.fresh && frame.runnable_mask != 0 && !at_bound {
+            // Enabled, unslept, never expanded: the roots of the subtrees
+            // the persistent set proved redundant.
+            self.result.states_cut +=
+                (frame.runnable_mask & !frame.done & !frame.sleep).count_ones() as u64;
         }
-        result.frontier_peak = result.frontier_peak.max(frames.len() as u64);
-        logical_peak = logical_peak.max(resident + spilled_logical);
-        // Over the resident cap with spill on: freeze the coldest half of
-        // the still-resident frames (never the top — it is about to be
-        // expanded). Masks and taken steps stay resident, so race
-        // additions keep working and the path still spells every frozen
-        // frame's schedule; only the executor bytes leave memory.
-        if config.spill && cap > 0 && resident > cap {
-            let live = frames.len() - frozen_below;
-            if live >= 2 {
-                let dir = match &spill_dir {
-                    Some(dir) => dir,
-                    None => {
-                        spill_dir = Some(SpillDir::fresh().expect("creating the spill directory"));
-                        spill_dir.as_ref().expect("just created")
-                    }
-                };
-                let path = dir.file(&format!("dpor-{spill_seq:08}.seg"));
-                let mut writer =
-                    SegmentWriter::create(&path, SegmentKind::FrontierLevel, spill_seq)
-                        .expect("creating a DPOR spill segment");
-                spill_seq += 1;
-                let start = frozen_below;
-                let count = live / 2;
-                // One record buffer walks up the path: its schedule is the
-                // prefix reaching each frame in turn.
-                let mut record = FrontierRecord {
-                    schedule: path_schedule(&frames[..start]),
-                    orbit_lower: 0,
-                    sleep: 0,
-                    expand: None,
-                    backtrack: 0,
-                    done: 0,
-                };
-                for frame in &mut frames[start..start + count] {
-                    record.sleep = frame.sleep;
-                    // The flagged mask doubles as the fresh/revisit marker
-                    // across the spill boundary.
-                    record.expand = (!frame.fresh).then_some(0);
-                    record.backtrack = frame.backtrack;
-                    record.done = frame.done;
-                    writer
-                        .append(&encode_frontier_record(&record))
-                        .expect("writing a DPOR spill record");
-                    record.schedule.push(frame.taken);
-                    frame.state = None;
-                    resident -= frame.bytes;
-                    spilled_logical += frame.bytes;
-                }
-                writer.finish().expect("sealing a DPOR spill segment");
-                segments.push((path, start, count));
-                frozen_below = start + count;
-                result.spilled_entries += count as u64;
+    }
+
+    /// Over the resident cap with spill on: freezes the coldest half of the
+    /// still-resident frames (never the top — it is about to be expanded)
+    /// into a sealed segment. Masks, children and taken steps stay
+    /// resident, so race additions keep working and the path still spells
+    /// every frozen frame's schedule; only the executor bytes leave memory.
+    /// Each record holds just the schedule reaching its frame, which the
+    /// thaw checks against the path.
+    fn spill(&mut self) {
+        let cap = self.config.max_resident_bytes;
+        let live = self.frames.len() - self.frozen_below;
+        if !self.config.spill || cap == 0 || self.resident <= cap || live < 2 {
+            return;
+        }
+        let dir = self
+            .spill_dir
+            .get_or_insert_with(|| SpillDir::fresh().expect("creating the spill directory"));
+        // Segments are numbered by the frames frozen before them: unique,
+        // since every segment holds at least one.
+        let seq = self.result.spilled_entries;
+        let path = dir.file(&format!("dfs-{seq:08}.seg"));
+        let mut writer = SegmentWriter::create(&path, SegmentKind::FrontierLevel, seq)
+            .expect("creating a DFS spill segment");
+        let start = self.frozen_below;
+        let count = live / 2;
+        // One record buffer walks up the path: its schedule is the prefix
+        // reaching each frame in turn.
+        let mut record = FrontierRecord {
+            schedule: path_schedule(&self.frames[..start]),
+            ..FrontierRecord::default()
+        };
+        for frame in &mut self.frames[start..start + count] {
+            writer
+                .append(&encode_frontier_record(&record))
+                .expect("writing a DFS spill record");
+            record.schedule.push(frame.taken);
+            frame.state = None;
+            self.resident -= frame.bytes;
+            self.spilled_logical += frame.bytes;
+        }
+        writer.finish().expect("sealing a DFS spill segment");
+        self.segments.push((path, start, count));
+        self.frozen_below = start + count;
+        self.result.spilled_entries += count as u64;
+    }
+
+    /// The DFS popped back down into a frozen range: thaws the most
+    /// recently sealed segment (it covers exactly the frames up to and
+    /// including the current top). The resident path is authoritative:
+    /// each state is rebuilt by replaying the path prefix, one step past
+    /// the frame below, and a record whose schedule disagrees with that
+    /// prefix stops the search rather than resume from a state the path
+    /// does not reach.
+    fn thaw(&mut self) {
+        let (path, start, count) = self.segments.pop().expect("frozen frames have a segment");
+        debug_assert_eq!(start + count, self.frames.len());
+        let (_tag, records) = read_segment(&path, SegmentKind::FrontierLevel)
+            .expect("reading back a spilled DFS segment");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            records.len(),
+            count,
+            "spilled DFS segment {} holds the wrong number of frames",
+            path.display()
+        );
+        let mut prefix = path_schedule(&self.frames[..start]);
+        let mut state = replay(self.initial, &prefix);
+        for (offset, record) in records.iter().enumerate() {
+            let depth = start + offset;
+            if offset > 0 {
+                let taken = self.frames[depth - 1].taken;
+                state.step(taken);
+                prefix.push(taken);
             }
+            let frozen = decode_frontier_record(record, self.initial.process_count())
+                .expect("decoding a spilled DFS record");
+            assert!(
+                frozen.schedule == prefix,
+                "spilled DFS segment {} records schedule {:?} for the frame at depth \
+                 {depth}, but the resident path reaches it by {:?}",
+                path.display(),
+                frozen.schedule,
+                prefix
+            );
+            let frame = &mut self.frames[depth];
+            self.resident += frame.bytes;
+            self.spilled_logical = self.spilled_logical.saturating_sub(frame.bytes);
+            frame.state = Some(state.clone());
         }
+        self.frozen_below = self.segments.last().map_or(0, |(_, s, c)| s + c);
     }
-    if !plan.applied() {
-        result.full_states_lower_bound = result.states_visited;
-    }
-    result.seen_entries = map.len() as u64;
-    result.approx_bytes = logical_peak
-        + KeyTable::bytes_for_len(map.len() as u64)
-        + map.len() as u64 * std::mem::size_of::<u64>() as u64;
-    result
 }
 
 /// The schedule reaching the frame above `frames`: the processes each frame
-/// of a DPOR path stack took.
-fn path_schedule<A: Automaton>(frames: &[DporFrame<A>]) -> Vec<ProcessId> {
+/// of a path stack took.
+fn path_schedule<A: Automaton>(frames: &[Frame<A>]) -> Vec<ProcessId> {
     frames.iter().map(|frame| frame.taken).collect()
-}
-
-/// The deterministic byte charge of the seen-set (0 with dedup off — no
-/// keys are stored). Computed from the entry count alone so the figure
-/// never depends on capacities or insertion order.
-fn seen_table_bytes(config: ExploreConfig, seen: &Seen) -> u64 {
-    if config.dedup {
-        seen.table_bytes()
-    } else {
-        0
-    }
 }
 
 /// Convenience predicate: fail whenever more than `k` distinct values have
@@ -2757,6 +2557,46 @@ mod tests {
         );
     }
 
+    /// `n` writers on distinct registers.
+    fn writers(n: usize) -> Executor<ToyWriter> {
+        Executor::new((0..n).map(|p| ToyWriter::new(p, p as u64 + 1)).collect())
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 processes")]
+    fn explore_rejects_more_than_64_processes() {
+        let config = ExploreConfig {
+            max_states: 50,
+            ..ExploreConfig::default()
+        };
+        explore(&writers(65), config, agreement_predicate(65));
+    }
+
+    #[test]
+    fn explore_accepts_exactly_64_processes_under_every_reduction() {
+        // Bit 63 is the last mask bit: a 64-process system must run (and
+        // reduce) like any other, truncating at the tiny budget.
+        for reduction in [
+            ReductionMode::Off,
+            ReductionMode::SleepSets,
+            ReductionMode::PersistentSets,
+        ] {
+            let config = ExploreConfig {
+                max_states: 50,
+                reduction,
+                ..ExploreConfig::default()
+            };
+            let result = explore(&writers(64), config, agreement_predicate(64));
+            assert!(result.truncated, "{reduction:?}: {result:?}");
+            assert_eq!(result.states_visited, 50, "{reduction:?}");
+            assert_eq!(
+                result.reduction_applied,
+                reduction != ReductionMode::Off,
+                "{reduction:?}"
+            );
+        }
+    }
+
     #[test]
     fn sleep_sets_preserve_states_and_reduce_expansions() {
         // Three writers on distinct registers commute pairwise: sleep sets
@@ -3137,7 +2977,7 @@ mod tests {
     #[test]
     fn persistent_set_spill_is_byte_identical() {
         // DPOR frames spill their schedules through the frontier record
-        // codec with the backtrack/done masks threaded alongside; draining
+        // codec while their backtrack/done masks stay resident; draining
         // them back must change nothing but spilled_entries.
         let exec = Executor::new(vec![
             RacyConsensus::new(ProcessId(0), 10),

@@ -65,10 +65,11 @@ pub use executor::{
     ServeOptions, StopReason,
 };
 pub use explore::{
-    agreement_predicate, canonical_state_key, checked_bit_of, checked_mask_of, explore,
-    keyed_relabeled, mask_of, persistent_set, persistent_set_applies, relabel_mask, state_key,
-    successor_sleep, successor_sleep_from, unrelabel_mask, Exploration, ExploreConfig,
+    agreement_predicate, canonical_state_key, check_process_count, checked_bit_of, checked_mask_of,
+    explore, keyed, keyed_relabeled, mask_of, persistent_set, persistent_set_applies, relabel_mask,
+    state_key, successor_sleep, successor_sleep_from, unrelabel_mask, Exploration, ExploreConfig,
     ExploredViolation, FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    MAX_PROCESSES,
 };
 pub use parallel::{parallel_explore, ParallelExploreConfig};
 pub use properties::{

@@ -61,9 +61,10 @@
 
 use crate::executor::Executor;
 use crate::explore::{
-    entry_bytes, keyed, keyed_relabeled, mask_of, persistent_set, persistent_set_applies,
-    relabel_mask, replay, successor_sleep_from, unrelabel_mask, Exploration, ExploredViolation,
-    FrontierSemantics, ReductionMode, StateKey, SymmetryMode, SymmetryPlan,
+    check_process_count, entry_bytes, keyed, keyed_relabeled, mask_of, persistent_set,
+    persistent_set_applies, relabel_mask, replay, successor_sleep_from, unrelabel_mask,
+    Exploration, ExploredViolation, FrontierSemantics, ReductionMode, StateKey, SymmetryMode,
+    SymmetryPlan,
 };
 use crate::store::{
     read_segment, KeyTable, ScheduleArena, SegmentKind, SegmentWriter, SpillDir, SCHEDULE_ROOT,
@@ -105,8 +106,7 @@ pub struct ParallelExploreConfig {
     /// Falls back to [`SymmetryMode::Off`] for automata that do not opt in
     /// (see [`SymmetryMode::ProcessIds`]).
     pub symmetry: SymmetryMode,
-    /// Whether to prune commuting interleavings with sleep sets (falls back
-    /// to [`ReductionMode::Off`] beyond 64 processes — see
+    /// Whether to prune commuting interleavings with sleep sets (see
     /// [`ReductionMode::SleepSets`]). Sleep masks ride the seen-set and the
     /// next-frontier merge, and both are resolved with order-independent
     /// operations (mask intersection) at single-threaded barriers, so the
@@ -489,6 +489,11 @@ fn find_task<T>(local: &Worker<T>, injector: &Injector<T>, stealers: &[Stealer<T
 /// With [`SymmetryMode::ProcessIds`] the predicate must additionally be
 /// relabeling-invariant — true of any predicate over decided value sets
 /// and memory contents, like the safety properties.
+///
+/// # Panics
+///
+/// Panics if the system has more than [`MAX_PROCESSES`](crate::MAX_PROCESSES)
+/// processes.
 pub fn parallel_explore<A, F>(
     initial: &Executor<A>,
     config: ParallelExploreConfig,
@@ -499,16 +504,15 @@ where
     A::Value: Hash + Clone + Eq + Debug + Send + Sync,
     F: Fn(&Executor<A>) -> Option<String> + Sync,
 {
+    let n = initial.process_count();
+    check_process_count(n);
     let threads = config.effective_threads();
     let plan = SymmetryPlan::for_executor(initial, config.symmetry);
-    // Sleep masks are u64 bit sets riding the (always-on) seen-set, so
-    // reduction falls back only when the system outgrows the mask width.
-    let n = initial.process_count();
+    // Sleep masks are u64 bit sets riding the (always-on) seen-set.
     let reduce = matches!(
         config.reduction,
         ReductionMode::SleepSets | ReductionMode::PersistentSets
-    ) && n > 0
-        && n <= u64::BITS as usize;
+    ) && n > 0;
     // Persistent-set cuts ride on top of the sleep discipline. With no DFS
     // path to hang backtrack sets on, the cut is applied only at states
     // where it is locally provable ([`persistent_set_applies`]): there the
@@ -520,24 +524,10 @@ where
     // at any worker count.
     let persistent = reduce && config.reduction == ReductionMode::PersistentSets;
     let mut result = Exploration {
-        states_visited: 0,
-        paths: 0,
-        violation: None,
-        truncated: false,
-        max_depth_reached: 0,
-        frontier_peak: 0,
         frontier_semantics: FrontierSemantics::BfsLevelWidth,
-        pending_at_exit: 0,
-        seen_entries: 0,
-        approx_bytes: 0,
-        spilled_entries: 0,
         symmetry_applied: plan.applied(),
-        full_states_lower_bound: 0,
         reduction_applied: reduce,
-        expansions: 0,
-        sleep_pruned: 0,
-        persistent_expanded: 0,
-        states_cut: 0,
+        ..Exploration::default()
     };
     if let Some(description) = predicate(initial) {
         result.states_visited = 1;
@@ -1015,6 +1005,16 @@ mod tests {
             RacyConsensus::new(ProcessId(0), 10),
             RacyConsensus::new(ProcessId(1), 20),
         ])
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 processes")]
+    fn rejects_more_than_64_processes() {
+        let config = ParallelExploreConfig {
+            max_states: 50,
+            ..ParallelExploreConfig::with_threads(1)
+        };
+        parallel_explore(&writers(65), config, agreement_predicate(65));
     }
 
     #[test]

@@ -26,9 +26,9 @@ use crate::goal::{goal_for, GoalMeasure};
 use crate::witness::{verify, Certificate, Witness};
 use sa_model::{Automaton, IdRelabeling, ProcessId};
 use sa_runtime::{
-    canonical_state_key, keyed_relabeled, mask_of, persistent_set, persistent_set_applies,
-    relabel_mask, state_key, successor_sleep_from, unrelabel_mask, Executor, ReductionMode,
-    SearchConfig, SearchGoal, StateKey, SymmetryPlan,
+    check_process_count, keyed, keyed_relabeled, mask_of, persistent_set, persistent_set_applies,
+    relabel_mask, successor_sleep_from, unrelabel_mask, Executor, ReductionMode, SearchConfig,
+    SearchGoal, StateKey, SymmetryPlan,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
@@ -80,7 +80,7 @@ pub struct SearchReport {
     /// before deduplication.
     pub symmetry_applied: bool,
     /// `true` if sleep-set partial-order reduction was active (requested
-    /// and at most 64 processes).
+    /// on a system with at least one process).
     pub reduction_applied: bool,
     /// Successor expansions performed. Sleep sets shrink **this** figure;
     /// `states_visited` is invariant on exhausted spaces.
@@ -129,21 +129,6 @@ struct Frontier<A: Automaton> {
     expand: Option<u64>,
 }
 
-/// The dedup key of a configuration under a plan: canonicalized when the
-/// plan applies non-trivially, the plain key otherwise (the same dispatch
-/// the exhaustive explorers use).
-fn keyed<A>(executor: &Executor<A>, plan: &SymmetryPlan) -> StateKey
-where
-    A: Automaton + Hash,
-    A::Value: Hash + Clone + Eq + Debug,
-{
-    if plan.applied() && !plan.is_trivial() {
-        canonical_state_key(executor, plan).0
-    } else {
-        state_key(executor)
-    }
-}
-
 /// `true` when `candidate` beats `best` under the witness order: most
 /// registers, then widest covering, then shallowest, then lexicographically
 /// smallest schedule.
@@ -172,20 +157,25 @@ fn better(candidate: &Witness, best: &Witness) -> bool {
 /// first level containing a witness with at least that many registers;
 /// otherwise it searches the whole budgeted space for the best witness.
 /// The emitted witness is replay-verified before the report is returned.
+///
+/// # Panics
+///
+/// Panics if the system has more than
+/// [`MAX_PROCESSES`](sa_runtime::MAX_PROCESSES) processes.
 pub fn search<A>(initial: &Executor<A>, config: SearchConfig) -> SearchReport
 where
     A: Automaton + Clone + Hash + Send + Sync,
     A::Value: Hash + Clone + Eq + Debug + Send + Sync,
 {
+    let n = initial.process_count();
+    check_process_count(n);
     let plan = SymmetryPlan::for_executor(initial, config.symmetry);
     let goal = goal_for::<A>(config.goal);
     let threads = config.threads.max(1);
-    let n = initial.process_count();
     let reduce = matches!(
         config.reduction,
         ReductionMode::SleepSets | ReductionMode::PersistentSets
-    ) && n > 0
-        && n <= u64::BITS as usize;
+    ) && n > 0;
     // Persistent-set cuts on top of the sleep discipline: with no DFS path
     // to backtrack over, the cut is taken only at states where it is
     // locally provable (every non-member halts after its poised op — see
@@ -220,9 +210,9 @@ where
 
     // Depth 0: the initial configuration is visited (and measured) too.
     if reduce {
-        masks.insert(keyed(initial, &plan), 0);
+        masks.insert(keyed(initial, &plan).0, 0);
     } else {
-        seen.insert(keyed(initial, &plan));
+        seen.insert(keyed(initial, &plan).0);
     }
     states_visited += 1;
     if let Some(measure) = goal.evaluate(initial) {
@@ -294,7 +284,7 @@ where
                         let (key, _weight, relabel) = keyed_relabeled(&successor, &plan);
                         (key, relabel_mask(child_sleep, &relabel), relabel)
                     } else {
-                        (keyed(&successor, &plan), 0, IdRelabeling::identity(0))
+                        (keyed(&successor, &plan).0, 0, IdRelabeling::identity(0))
                     };
                     if reduce {
                         sleep_cur |= 1u64 << process.index();
@@ -419,6 +409,19 @@ mod tests {
     use super::*;
     use sa_runtime::toy::ToyWriter;
     use sa_runtime::SymmetryMode;
+
+    #[test]
+    #[should_panic(expected = "at most 64 processes")]
+    fn search_rejects_more_than_64_processes() {
+        let exec = Executor::new((0..65).map(|p| ToyWriter::new(p, p as u64 + 1)).collect());
+        search(
+            &exec,
+            SearchConfig {
+                max_states: 50,
+                ..SearchConfig::default()
+            },
+        );
+    }
 
     #[test]
     fn sleep_sets_keep_the_verdict_and_prune_expansions() {

@@ -123,9 +123,9 @@ run options:
                        carry expansions / sleep_pruned, and the reduction
                        factor composes multiplicatively with --symmetry.
                        Applies to explore and adversary-search modes; cells
-                       the explorer cannot reduce soundly (dedup off, more
-                       than 64 processes) fall back to plain exploration
-                       (reduction = fallback-off in the record)
+                       the explorer cannot reduce soundly (dedup off) fall
+                       back to plain exploration (reduction = fallback-off in
+                       the record)
   --goals LIST         adversary-search mode: comma list of witness goals to
                        sweep, `covering` (default) and/or `block-write`
   --target-registers T adversary-search mode: `auto` (default; the paper's
@@ -394,6 +394,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return fail("--n/--m/--k must all be given when overriding --params");
         }
         spec.params = ParamsSpec::Grid { n, m, k };
+    }
+    // Flags may have switched the mode or the cells after the spec parsed.
+    if let Err(e) = spec.check_process_limit() {
+        return fail(e.to_string());
     }
 
     let run_to = |sink: &mut dyn std::io::Write| run_campaign(&spec, config, sink);

@@ -124,8 +124,8 @@ pub struct SweepRecord {
     /// Partial-order-reduction status of an exploration or search: `off`
     /// (not requested), `sleep-set` (requested and applied: commuting
     /// sibling expansions were pruned) or `fallback-off` (requested, but
-    /// the explorer could not honor it — dedup off or more than 64
-    /// processes — so full expansion ran instead). Encoded, together with
+    /// the explorer could not honor it — dedup off — so full expansion ran
+    /// instead). Encoded, together with
     /// the two expansion statistics below, only when the campaign
     /// requested reduction — records of reduction-off campaigns stay
     /// byte-identical to pre-reduction releases.
@@ -441,7 +441,7 @@ impl SweepRecord {
                 (ReductionMode::Off, _) => "off".into(),
                 (ReductionMode::SleepSets, true) => "sleep-set".into(),
                 (ReductionMode::PersistentSets, true) => "persistent-set".into(),
-                // Requested but not honorable (dedup off, > 64 processes):
+                // Requested but not honorable (dedup off):
                 // the explorer expanded fully rather than prune unsoundly,
                 // and the record says so.
                 (ReductionMode::SleepSets | ReductionMode::PersistentSets, false) => {

@@ -11,7 +11,7 @@
 //! CLI accepts via `--spec`.
 
 use sa_model::Params;
-use set_agreement::runtime::{ReductionMode, SearchGoal, SymmetryMode};
+use set_agreement::runtime::{ReductionMode, SearchGoal, SymmetryMode, MAX_PROCESSES};
 use set_agreement::Algorithm;
 
 /// Errors produced while building or parsing a campaign spec.
@@ -476,8 +476,8 @@ pub struct CampaignSpec {
     /// whole redundant *states* while preserving every verdict. Like
     /// `symmetry` this is a "how" knob, not part of a scenario's identity,
     /// and it composes with `symmetry`: the two reductions multiply.
-    /// Explorations that cannot honor the request (dedup off, more than 64
-    /// processes) fall back to full expansion rather than prune unsoundly.
+    /// Explorations that cannot honor the request (dedup off) fall back to
+    /// full expansion rather than prune unsoundly.
     /// Off by default, which keeps record bytes identical to pre-reduction
     /// releases.
     pub reduction: ReductionMode,
@@ -808,7 +808,32 @@ impl CampaignSpec {
         if spec.goals.is_empty() {
             return err("no goals");
         }
+        spec.check_process_limit()?;
         Ok(spec)
+    }
+
+    /// Rejects an explore or adversary-search campaign with a cell of more
+    /// than [`MAX_PROCESSES`] processes: the explorers keep process sets in
+    /// 64-bit masks and refuse wider systems. Sample and serve campaigns
+    /// have no such limit.
+    pub fn check_process_limit(&self) -> Result<(), SpecError> {
+        if !matches!(
+            self.mode,
+            CampaignMode::Explore | CampaignMode::AdversarySearch
+        ) {
+            return Ok(());
+        }
+        match self.params.cells().iter().find(|p| p.n() > MAX_PROCESSES) {
+            Some(cell) => err(format!(
+                "{} mode explores at most {MAX_PROCESSES} processes, but cell {}/{}/{} has {}",
+                self.mode.label(),
+                cell.n(),
+                cell.m(),
+                cell.k(),
+                cell.n()
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1033,6 +1058,22 @@ mod tests {
         assert_eq!(CampaignSpec::parse("").unwrap().mode, CampaignMode::Sample);
         assert!(CampaignSpec::parse("mode = fuzz").is_err());
         assert!(CampaignSpec::parse("max-states = lots").is_err());
+    }
+
+    #[test]
+    fn explore_cells_wider_than_the_process_masks_are_rejected() {
+        // 65/1/2 is a valid cell, but the explorers keep process sets in
+        // 64-bit masks: exploring it must fail at parse time, not panic
+        // mid-campaign. Sampling it is fine.
+        for mode in ["explore", "adversary-search"] {
+            let error = CampaignSpec::parse(&format!("mode = {mode}\nparams = 65/1/2"))
+                .expect_err("a 65-process cell cannot be explored");
+            assert!(error.0.contains("at most 64 processes"), "{error}");
+            let grid = CampaignSpec::parse(&format!("mode = {mode}\nn = 3,65\nm = 1\nk = 2"));
+            assert!(grid.is_err(), "{mode}: grid cells are checked too");
+            assert!(CampaignSpec::parse(&format!("mode = {mode}\nparams = 64/1/2")).is_ok());
+        }
+        assert!(CampaignSpec::parse("mode = sample\nparams = 65/1/2").is_ok());
     }
 
     #[test]

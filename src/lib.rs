@@ -474,7 +474,7 @@ pub struct ExploreReport {
     pub full_states_lower_bound: u64,
     /// `true` if the search pruned commuting interleavings with sleep sets:
     /// [`ReductionMode::SleepSets`](sa_runtime::ReductionMode) was requested
-    /// **and** the explorer could honor it (dedup on, at most 64 processes).
+    /// **and** the explorer could honor it (dedup on).
     /// Verdicts and `states_visited` are unaffected on exhausted spaces;
     /// only [`expansions`](ExploreReport::expansions) shrinks.
     pub reduction_applied: bool,

@@ -2,9 +2,11 @@
 //! configurations: k-agreement is checked in **every** interleaving up to a
 //! depth bound, not just on sampled schedules.
 
-use set_agreement::algorithms::{OneShotSetAgreement, RepeatedSetAgreement};
+use set_agreement::algorithms::{AnonymousSetAgreement, OneShotSetAgreement, RepeatedSetAgreement};
 use set_agreement::model::{Params, ProcessId};
-use set_agreement::runtime::{agreement_predicate, explore, Executor, ExploreConfig};
+use set_agreement::runtime::{
+    agreement_predicate, explore, Executor, ExploreConfig, ReductionMode, SymmetryMode,
+};
 
 #[test]
 fn one_shot_consensus_is_safe_in_every_interleaving() {
@@ -97,4 +99,83 @@ fn exploration_reports_are_reproducible() {
     assert_eq!(a.states_visited, b.states_visited);
     assert_eq!(a.paths, b.paths);
     assert_eq!(a.violation, b.violation);
+}
+
+/// The serial traversal of the 3/1/2 anonymous one-shot cell (the
+/// `exhaustive.spec` cell: distinct workload, depth bound 100,000) without
+/// reduction and with sleep sets, each with and without process-id
+/// symmetry. The figures were recorded from the sibling-stack explorer the
+/// path-stack DFS replaced; any change in visit order moves
+/// `max_depth_reached`, and any change in expansion or pruning moves the
+/// other counts, so a traversal change fails here first.
+#[test]
+fn serial_traversal_of_the_anonymous_cell_is_pinned() {
+    let params = Params::new(3, 1, 2).unwrap();
+    let exec = Executor::new(
+        (0..3)
+            .map(|p| AnonymousSetAgreement::one_shot(params, 1000 + p as u64))
+            .collect(),
+    );
+    // (reduction, symmetry, states, depth, expansions, sleep_pruned, paths)
+    let pinned = [
+        (
+            ReductionMode::Off,
+            SymmetryMode::Off,
+            137_318,
+            949,
+            286_455,
+            0,
+            2_700,
+        ),
+        (
+            ReductionMode::SleepSets,
+            SymmetryMode::Off,
+            137_318,
+            1_287,
+            233_686,
+            79_686,
+            2_700,
+        ),
+        (
+            ReductionMode::Off,
+            SymmetryMode::ProcessIds,
+            21_137,
+            401,
+            57_708,
+            0,
+            9,
+        ),
+        (
+            ReductionMode::SleepSets,
+            SymmetryMode::ProcessIds,
+            21_137,
+            415,
+            46_896,
+            16_813,
+            9,
+        ),
+    ];
+    for (reduction, symmetry, states, depth, expansions, sleep_pruned, paths) in pinned {
+        let config = ExploreConfig {
+            max_depth: 100_000,
+            max_states: 1_000_000,
+            symmetry,
+            reduction,
+            ..ExploreConfig::default()
+        };
+        let result = explore(&exec, config, agreement_predicate(2));
+        let label = format!("{reduction:?}/{symmetry:?}");
+        assert!(result.verified(), "{label}: {result:?}");
+        assert_eq!(
+            (
+                result.states_visited,
+                result.max_depth_reached,
+                result.expansions,
+                result.sleep_pruned,
+                result.paths
+            ),
+            (states, depth, expansions, sleep_pruned, paths),
+            "{label}: (states, depth, expansions, sleep_pruned, paths)"
+        );
+    }
 }
